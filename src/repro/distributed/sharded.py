@@ -306,7 +306,8 @@ def _do_round(
 
 
 def _worker_main(conn: Any) -> None:
-    """The long-lived worker loop: one command in, one reply out.
+    """The long-lived worker loop: one command in, one reply out
+    (``exit`` excepted: it gets none).
 
     Replies are ``("ok", value)`` or ``("err", exc_type, message,
     traceback_text)``; the coordinator re-raises.  ``load`` replaces the
@@ -348,7 +349,8 @@ def _worker_main(conn: Any) -> None:
                 _, fn, args, kwargs = msg
                 out = fn(engine.programs, *args, **kwargs)
             elif cmd == "exit":
-                conn.send(("ok", None))
+                # No reply: the coordinator closes its ends right after
+                # sending ``exit``, so a reply would hit a broken pipe.
                 return
             else:  # pragma: no cover - coordinator never sends others
                 raise RuntimeError(f"unknown worker command {cmd!r}")

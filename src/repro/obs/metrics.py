@@ -13,6 +13,7 @@ measurable quantities.
 
 from __future__ import annotations
 
+import math
 from typing import (
     Any,
     Callable,
@@ -69,10 +70,11 @@ class Histogram:
     """Power-of-two-bucketed distribution: count/sum/min/max + buckets.
 
     Bucket ``i`` counts observations ``v`` with ``2^(i-1) < v <= 2^i``
-    (bucket 0 holds ``v <= 1``, including zero).
+    (bucket 0 holds ``v <= 1``, including zero, negatives and NaN; the
+    last bucket holds everything above, including infinity).
     """
 
-    __slots__ = ("count", "total", "min", "max", "buckets")
+    __slots__ = ("count", "total", "min", "max", "buckets", "_top")
 
     def __init__(self, num_buckets: int = 24) -> None:
         self.count = 0
@@ -80,6 +82,9 @@ class Histogram:
         self.min: Optional[float] = None
         self.max: Optional[float] = None
         self.buckets = [0] * num_buckets
+        # values above this land in the last bucket (inf included,
+        # which frexp would otherwise report as exponent 0)
+        self._top = 1 << max(num_buckets - 2, 0)
 
     def observe(self, value: Union[int, float]) -> None:
         self.count += 1
@@ -88,11 +93,18 @@ class Histogram:
             self.min = value
         if self.max is None or value > self.max:
             self.max = value
-        index = 0
-        bound = 1
-        while value > bound and index < len(self.buckets) - 1:
-            bound *= 2
-            index += 1
+        if not value > 1:  # NaN compares false and lands here too
+            index = 0
+        elif value > self._top:
+            index = len(self.buckets) - 1
+        elif isinstance(value, int):
+            index = (value - 1).bit_length()
+        else:
+            # value = mantissa * 2^exponent with 0.5 <= mantissa < 1, so
+            # 2^(exponent-1) < value <= 2^exponent unless value is exactly
+            # 2^(exponent-1), which belongs one bucket lower.
+            mantissa, exponent = math.frexp(value)
+            index = exponent - 1 if mantissa == 0.5 else exponent
         self.buckets[index] += 1
 
     @property

@@ -116,8 +116,12 @@ class TraceRecorder:
         return recorder
 
 
+#: built once: ``json.dumps`` would construct an encoder per event.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def _dump_line(event: Dict[str, Any]) -> str:
-    return json.dumps(event, sort_keys=True, separators=(",", ":"))
+    return _ENCODER.encode(event)
 
 
 def dumps_events(events: Iterable[Dict[str, Any]]) -> str:

@@ -10,8 +10,9 @@ Operations: ``ping``, ``dist``, ``route``, ``label``, ``stats``, and
 ``shutdown`` (graceful: the server answers, finishes the in-flight
 batch, then stops accepting and closes).  Unreachable pairs answer
 ``null`` — never ``Infinity``, which is not JSON.  Malformed lines
-answer ``{"ok": false, "error": ...}`` rather than killing the
-connection.
+(bad UTF-8, bad JSON, longer than :data:`LINE_LIMIT` bytes) answer
+``{"ok": false, "error": ...}`` rather than killing the connection; an
+unterminated tail at end of stream is not a request and is dropped.
 
 Two layers:
 
@@ -23,10 +24,12 @@ Two layers:
   byte-identical answers — both tiers store exactly what
   ``DistanceOracle.query`` would compute.
 * :class:`SpannerServer` — the asyncio shell: every connection feeds
-  one shared queue; a single drainer task collects whatever arrived
-  by the current event-loop tick and serves it as one batch
-  (amortizing writes and keeping single-connection streams in strict
-  arrival order, which is what makes bench counts replayable).
+  one shared queue with the complete lines of each chunk it reads; a
+  single drainer task collects whatever arrived by the current
+  event-loop tick and serves it as one batch, with one write per
+  connection (amortizing writes and keeping single-connection streams
+  in strict arrival order, which is what makes bench counts
+  replayable).
 
 Metrics land in a :class:`repro.obs.metrics.MetricsRegistry`
 (``serving_requests``, ``serving_cache_events``,
@@ -42,12 +45,21 @@ from collections import OrderedDict
 from time import perf_counter
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Counter, Histogram, MetricsRegistry
 from repro.serving.artifact import ArtifactBundle
 
-__all__ = ["QueryService", "ServiceError", "SpannerServer"]
+__all__ = ["LINE_LIMIT", "QueryService", "ServiceError", "SpannerServer"]
 
 INF = float("inf")
+
+#: longest request line in bytes, newline excluded (asyncio's default
+#: stream limit); also the most a connection buffers of a partial line.
+LINE_LIMIT = 2 ** 16
+
+# Built once: ``json.dumps``/``json.loads`` construct an encoder per
+# call and sniff the encoding of every byte string.
+_ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False)
+_DECODER = json.JSONDecoder()
 
 
 class ServiceError(ValueError):
@@ -94,6 +106,12 @@ class QueryService:
         self.hits_lru = 0
         self.hits_landmark = 0
         self.misses = 0
+        # Metric handles, looked up in the registry on first use (so
+        # it lists exactly the series a request stream has touched)
+        # and bumped directly afterwards.
+        self._op_counters: Dict[Tuple[str, bool], Counter] = {}
+        self._cache_counters: Dict[str, Counter] = {}
+        self._service_us: Optional[Histogram] = None
 
         # Landmark tier: the most elite non-empty sampled level of the
         # oracle.  Those vertices' clusters are unbounded, so they are
@@ -124,7 +142,12 @@ class QueryService:
         return v
 
     def _cache_event(self, tier: str) -> None:
-        self.metrics.counter("serving_cache_events", tier=tier).inc()
+        counter = self._cache_counters.get(tier)
+        if counter is None:
+            counter = self._cache_counters[tier] = self.metrics.counter(
+                "serving_cache_events", tier=tier
+            )
+        counter.inc()
 
     def _lru_put(
         self,
@@ -270,19 +293,68 @@ class QueryService:
         except ServiceError as exc:
             self._count_op(op, ok=False)
             return {"id": rid, "ok": False, "error": str(exc)}
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             self._count_op(op, ok=False)
             return {"id": rid, "ok": False, "error": f"bad request: {exc}"}
         self._count_op(op, ok=True)
-        self.metrics.histogram("serving_service_us").observe(
-            (perf_counter() - started) * 1e6
-        )
+        histogram = self._service_us
+        if histogram is None:
+            histogram = self._service_us = self.metrics.histogram(
+                "serving_service_us"
+            )
+        histogram.observe((perf_counter() - started) * 1e6)
         return {"id": rid, "ok": True, "value": value}
 
     def _count_op(self, op: Any, ok: bool) -> None:
-        self.metrics.counter(
-            "serving_requests", op=str(op), ok=str(ok).lower()
-        ).inc()
+        key = (str(op), ok)
+        counter = self._op_counters.get(key)
+        if counter is None:
+            counter = self._op_counters[key] = self.metrics.counter(
+                "serving_requests", op=key[0], ok=str(ok).lower()
+            )
+        counter.inc()
+
+
+def _split_lines(
+    data: bytes, skipping: bool
+) -> Tuple[List[Optional[bytes]], bytes, bool]:
+    """Cut a connection's buffered bytes into complete request lines.
+
+    Returns ``(lines, partial, skipping)``: each line keeps its newline,
+    ``None`` stands for a line longer than :data:`LINE_LIMIT` (answered
+    with an error as soon as it passes the limit), ``partial`` is the
+    unterminated rest, and ``skipping`` says the rest of an over-long
+    line is still to be dropped up to its newline.
+    """
+    lines: List[Optional[bytes]] = []
+    start = 0
+    if skipping:
+        start = data.find(b"\n") + 1
+        if not start:
+            return lines, b"", True
+    while True:
+        newline = data.find(b"\n", start)
+        if newline < 0:
+            break
+        lines.append(
+            None if newline - start > LINE_LIMIT else data[start:newline + 1]
+        )
+        start = newline + 1
+    if len(data) - start > LINE_LIMIT:
+        lines.append(None)
+        return lines, b"", True
+    return lines, data[start:], False
+
+
+def _encode(response: Dict[str, Any]) -> str:
+    """One response line (without its newline)."""
+    try:
+        return _ENCODER.encode(response)
+    except (ValueError, RecursionError) as exc:
+        # Only an echoed ``id`` can be unencodable (1e999 decodes to inf).
+        return _ENCODER.encode(
+            {"id": None, "ok": False, "error": f"bad response: {exc}"}
+        )
 
 
 class SpannerServer:
@@ -317,7 +389,7 @@ class SpannerServer:
         # the wrong one when the server object is built outside
         # asyncio.run().
         self._queue: Optional[
-            "asyncio.Queue[Tuple[bytes, asyncio.StreamWriter]]"
+            "asyncio.Queue[Tuple[List[Optional[bytes]], asyncio.StreamWriter]]"
         ] = None
         self._drainer: Optional["asyncio.Task[None]"] = None
         self._closed: Optional[asyncio.Event] = None
@@ -345,20 +417,27 @@ class SpannerServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         assert self._queue is not None  # start() ran before accepting
+        queue = self._queue
         self._writers.append(writer)
+        partial = b""
+        skipping = False
         try:
             while True:
                 try:
-                    line = await reader.readline()
-                except (ConnectionError, asyncio.IncompleteReadError):
+                    chunk = await reader.read(LINE_LIMIT)
+                except ConnectionError:
                     break
                 except asyncio.CancelledError:
                     # Teardown closed us mid-read; exit quietly rather
                     # than let the streams callback log the cancel.
                     break
-                if not line:
-                    break
-                await self._queue.put((line, writer))
+                if not chunk:
+                    break  # an unterminated tail is not a request
+                lines, partial, skipping = _split_lines(
+                    partial + chunk, skipping
+                )
+                if lines:
+                    queue.put_nowait((lines, writer))
         finally:
             if writer in self._writers:
                 self._writers.remove(writer)
@@ -369,37 +448,36 @@ class SpannerServer:
                 pass
 
     async def _drain_loop(self) -> None:
-        """Serve batches: everything queued by this tick is one batch."""
+        """Serve batches: everything queued by this tick is one batch,
+        answered with one write per connection."""
         assert self._queue is not None
+        queue = self._queue
         while not self._shutting_down:
-            first = await self._queue.get()
-            batch = [first]
+            batch = [await queue.get()]
             while True:
                 try:
-                    batch.append(self._queue.get_nowait())
+                    batch.append(queue.get_nowait())
                 except asyncio.QueueEmpty:
                     break
             self.service.metrics.histogram("serving_batch_size").observe(
-                len(batch)
+                sum(len(lines) for lines, _ in batch)
             )
+            replies: Dict[asyncio.StreamWriter, List[str]] = {}
+            for lines, writer in batch:
+                out = replies.setdefault(writer, [])
+                for line in lines:
+                    out.append(_encode(self._serve_line(line)))
+                    self._served += 1
+                    if (
+                        self.max_requests is not None
+                        and self._served >= self.max_requests
+                    ):
+                        self._shutting_down = True
             touched: List[asyncio.StreamWriter] = []
-            for line, writer in batch:
-                response = self._serve_line(line)
+            for writer, out in replies.items():
                 if not writer.is_closing():
-                    writer.write(
-                        json.dumps(
-                            response, sort_keys=True, allow_nan=False
-                        ).encode()
-                        + b"\n"
-                    )
-                    if writer not in touched:
-                        touched.append(writer)
-                self._served += 1
-                if (
-                    self.max_requests is not None
-                    and self._served >= self.max_requests
-                ):
-                    self._shutting_down = True
+                    writer.write(("\n".join(out) + "\n").encode())
+                    touched.append(writer)
             for writer in touched:
                 try:
                     await writer.drain()
@@ -407,10 +485,18 @@ class SpannerServer:
                     pass
         await self._finish()
 
-    def _serve_line(self, line: bytes) -> Dict[str, Any]:
+    def _serve_line(self, line: Optional[bytes]) -> Dict[str, Any]:
+        if line is None:
+            return {
+                "id": None,
+                "ok": False,
+                "error": f"request line over {LINE_LIMIT} bytes",
+            }
         try:
-            request = json.loads(line)
-        except json.JSONDecodeError as exc:
+            request = _DECODER.decode(line.decode("utf-8"))
+        except (ValueError, RecursionError) as exc:
+            # ValueError covers JSONDecodeError and UnicodeDecodeError;
+            # RecursionError is a too-deeply nested document.
             return {"id": None, "ok": False, "error": f"bad JSON: {exc}"}
         if not isinstance(request, dict):
             return {"id": None, "ok": False, "error": "request not an object"}

@@ -13,16 +13,21 @@ adapter with a lossy fault plan.
 
 from __future__ import annotations
 
+import hashlib
 import io
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.report import phase_budget_report, render_phase_budget
 from repro.distributed import FaultEvent, FaultPlan
 from repro.distributed.faults import DROP
 from repro.distributed.simulator import NetworkStats
-from repro.graphs import erdos_renyi_gnp
+from repro.graphs import erdos_renyi_gnp, zoo
 from repro.obs import (
+    Histogram,
     MetricsRegistry,
     Obs,
     PROTOCOLS,
@@ -103,6 +108,28 @@ def test_trace_roundtrips_through_jsonl(tmp_path):
     assert loaded.dumps() == recorder.dumps()
     # file-object variant
     assert load_events(io.StringIO(recorder.dumps())) == recorder.events
+
+
+#: sha256 of the JSONL trace of Baswana-Sen on the smoke grid host
+#: (graph seed 1001, protocol seed 1) over the reliable layer under the
+#: chaos benchmark's fault rates.  Pins trace bytes across commits: the
+#: determinism tests above only compare two runs of the same tree.
+GOLDEN_TRACE_SHA256 = (
+    "b42a220cf1aba02e4a0e071ee6029a272bdbfa2a0cebe135883fdfbe78c7e378"
+)
+
+
+def test_golden_trace_digest():
+    host = zoo.build_host("grid", "smoke", 1001)
+    plan = FaultPlan(seed=1, drop_rate=0.05, duplicate_rate=0.02,
+                     delay_rate=0.05, reorder_rate=0.1)
+    recorder = TraceRecorder()
+    obs = Obs(recorder=recorder, metrics=MetricsRegistry(),
+              protocol="baswana_sen")
+    run_traced("baswana_sen", host, seed=1, obs=obs,
+               reliable=True, fault_plan=plan)
+    digest = hashlib.sha256(recorder.dumps().encode()).hexdigest()
+    assert digest == GOLDEN_TRACE_SHA256
 
 
 def test_payload_fingerprint_is_stable():
@@ -372,3 +399,55 @@ def test_cli_legacy_fig1_still_works(capsys):
     assert cli_main(["40", "0.1", "5"]) == 0
     out = capsys.readouterr().out
     assert "Fig. 1, measured on this host" in out
+
+
+# ----------------------------------------------------------------------
+# Histogram bucketing: O(1) index == the reference doubling loop
+# ----------------------------------------------------------------------
+def _loop_bucket(value, num_buckets):
+    """The original bucket search: double the bound until it covers."""
+    index = 0
+    bound = 1
+    while value > bound and index < num_buckets - 1:
+        bound *= 2
+        index += 1
+    return index
+
+
+def _edge_values():
+    """0, negatives, (0, 1], powers of two and their float neighbours,
+    values past the last bucket, NaN and infinities."""
+    values = [0, 0.0, -0.0, -1, -2.5, -math.inf, 1e-300, 0.25, 0.5, 1,
+              1.0, math.nan, math.inf, 2 ** 80, 1e300]
+    for exponent in range(-3, 70):
+        power = 2.0 ** exponent
+        values += [power, math.nextafter(power, 0.0),
+                   math.nextafter(power, math.inf)]
+        if exponent >= 0:
+            values += [2 ** exponent - 1, 2 ** exponent, 2 ** exponent + 1]
+    return values
+
+
+@pytest.mark.parametrize("num_buckets", [1, 2, 3, 24, 64])
+def test_histogram_matches_loop_on_edges(num_buckets):
+    for value in _edge_values():
+        h = Histogram(num_buckets)
+        h.observe(value)
+        expected = [0] * num_buckets
+        expected[_loop_bucket(value, num_buckets)] = 1
+        assert h.buckets == expected, value
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    value=st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.integers(min_value=-(2 ** 70), max_value=2 ** 70),
+        st.floats(min_value=0.0, max_value=1.0),
+    ),
+    num_buckets=st.integers(min_value=1, max_value=80),
+)
+def test_histogram_matches_loop_property(value, num_buckets):
+    h = Histogram(num_buckets)
+    h.observe(value)
+    assert h.buckets.index(1) == _loop_bucket(value, num_buckets)

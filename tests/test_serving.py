@@ -24,6 +24,7 @@ from repro.serving import (
     save_bundle,
 )
 from repro.serving.loadgen import percentile
+from repro.serving.server import LINE_LIMIT, _split_lines
 
 
 def _smoke_bundle(seed: int = 1, k: int = 2):
@@ -174,6 +175,7 @@ class TestQueryService:
             {"id": 2, "op": "dist"},  # missing vertices
             {"id": 3, "op": "warp", "u": 0, "v": 1},  # unknown op
             {"id": 4, "op": "dist", "u": "x", "v": 1},  # non-int vertex
+            {"id": 5, "op": "dist", "u": float("inf"), "v": 1},  # 1e999
         ):
             response = service.handle_request(request)
             assert response["ok"] is False
@@ -188,6 +190,59 @@ class TestQueryService:
         cache = stats["cache"]
         assert cache["hits_lru"] + cache["hits_landmark"] >= 1
         assert 0.0 <= cache["hit_rate"] <= 1.0
+
+
+    def test_metric_series_follow_the_stream(self, bundle):
+        # Metric handles bind on first use: the registry lists exactly
+        # the series the stream touched, with the plain-int counts.
+        service = QueryService(bundle, cache_size=64, landmarks=4)
+        assert len(service.metrics) == 0
+        queries = make_queries(
+            sorted(bundle.graph.vertices()), 200, mix="zipf", seed=3
+        )
+        stream = queries + [{"id": -1, "op": "warp"}, {"id": -2, "op": None}]
+        answers = [service.handle_request(dict(q)) for q in stream]
+        snapshot = service.metrics.snapshot()
+        expected: dict = {}
+        for request, answer in zip(stream, answers):
+            key = (
+                f"serving_requests{{ok={str(answer['ok']).lower()},"
+                f"op={request['op']}}}"
+            )
+            expected[key] = expected.get(key, 0) + 1
+        requests = {
+            k: v for k, v in snapshot.items()
+            if k.startswith("serving_requests")
+        }
+        assert requests == expected
+        tiers = {
+            k: v for k, v in snapshot.items()
+            if k.startswith("serving_cache_events")
+        }
+        assert sum(tiers.values()) == service.hits + service.misses
+        assert tiers.get("serving_cache_events{tier=miss}") == service.misses
+        assert snapshot["serving_service_us"]["count"] == len(queries)
+        assert set(snapshot) == set(requests) | set(tiers) | {
+            "serving_service_us"
+        }
+
+
+class TestLineFraming:
+    def test_complete_lines_keep_newlines(self):
+        lines, partial, skipping = _split_lines(b"a\nbc\n\nde", False)
+        assert lines == [b"a\n", b"bc\n", b"\n"]
+        assert (partial, skipping) == (b"de", False)
+
+    def test_overlong_line_answered_once_then_skipped(self):
+        long_line = b"x" * (LINE_LIMIT + 1)
+        assert _split_lines(long_line + b"\nok\n", False) == (
+            [None, b"ok\n"], b"", False
+        )
+        # No newline yet: answered as soon as it passes the limit, and
+        # the rest is dropped up to the newline whenever it comes.
+        assert _split_lines(long_line, False) == ([None], b"", True)
+        assert _split_lines(b"y" * 10, True) == ([], b"", True)
+        assert _split_lines(b"yy\nok\nta", True) == ([b"ok\n"], b"ta", False)
 
 
 class TestSpannerServer:
@@ -244,6 +299,141 @@ class TestSpannerServer:
         bad_json, bad_shape, _bye = responses
         assert bad_json["ok"] is False and "JSON" in bad_json["error"]
         assert bad_shape["ok"] is False
+
+    def _exchange(self, bundle, chunks, answers, eof=False):
+        """Write raw ``chunks`` on one connection, a tick apart, and read
+        ``answers`` response lines; with ``eof``, half-close and wait for
+        the server to hang up.  Then ask a second connection for
+        ``stats`` and shut down.  Returns (responses, stats value,
+        service)."""
+
+        async def _run():
+            service = QueryService(bundle)
+            server = SpannerServer(service, port=0)
+            await server.start()
+            assert server.address is not None
+            reader, writer = await asyncio.open_connection(*server.address)
+            for chunk in chunks:
+                writer.write(chunk)
+                await writer.drain()
+                await asyncio.sleep(0.01)
+            responses = [
+                json.loads(await asyncio.wait_for(reader.readline(), 5))
+                for _ in range(answers)
+            ]
+            if eof:
+                writer.write_eof()
+                assert await asyncio.wait_for(reader.read(), 5) == b""
+            writer.close()
+            reader2, writer2 = await asyncio.open_connection(*server.address)
+            writer2.write(
+                b'{"id": "s", "op": "stats"}\n{"id": "b", "op": "shutdown"}\n'
+            )
+            await writer2.drain()
+            stats = json.loads(await reader2.readline())
+            await reader2.readline()
+            writer2.close()
+            await server.wait_closed()
+            return responses, stats["value"], service
+
+        return asyncio.run(_run())
+
+    def test_request_split_across_writes(self, bundle):
+        responses, stats, _ = self._exchange(
+            bundle,
+            [b'{"id": 1, "op": "di', b'st", "u": 0, "v": 3}\n{"id": 2,',
+             b' "op": "ping"}\n'],
+            answers=2,
+        )
+        assert responses[0] == {
+            "id": 1, "ok": True, "value": bundle.oracle.query(0, 3)
+        }
+        assert responses[1] == {"id": 2, "ok": True, "value": "pong"}
+        assert stats["requests"] == 1
+
+    def test_overlong_line_answered_and_connection_kept(self, bundle):
+        pad = b"x" * (LINE_LIMIT // 2)
+        responses, _, _ = self._exchange(
+            bundle,
+            # one over-long line in three writes, then a good request
+            [b'{"id": 1, "pad": "' + pad, pad, pad + b'"}\n',
+             b'{"id": 2, "op": "ping"}\n'],
+            answers=2,
+        )
+        assert responses[0]["id"] is None and responses[0]["ok"] is False
+        assert str(LINE_LIMIT) in responses[0]["error"]
+        assert responses[1] == {"id": 2, "ok": True, "value": "pong"}
+
+    def test_line_at_the_limit_is_served(self, bundle):
+        head = b'{"id": 1, "op": "ping", "pad": "'
+        line = head + b"x" * (LINE_LIMIT - len(head) - 2) + b'"}'
+        assert len(line) == LINE_LIMIT
+        responses, _, _ = self._exchange(bundle, [line + b"\n"], answers=1)
+        assert responses == [{"id": 1, "ok": True, "value": "pong"}]
+
+    def test_unterminated_tail_at_eof_is_dropped(self, bundle):
+        responses, stats, service = self._exchange(
+            bundle,
+            [b'{"id": 1, "op": "dist", "u": 0, "v": 3}\n',
+             b'{"id": 2, "op": "dist", "u": 0, "v": 5}'],
+            answers=1,
+            eof=True,
+        )
+        assert responses[0]["id"] == 1
+        assert stats["requests"] == 1  # the tail was never served
+        assert service.metrics.snapshot()[
+            "serving_requests{ok=true,op=dist}"
+        ] == 1
+
+    def test_undecodable_lines_answered_not_fatal(self, bundle):
+        probes = [
+            b"\xff\xfe not utf-8\n",  # bad UTF-8
+            b"[" * 5000 + b"\n",  # nested past the recursion limit
+            b'{"id": 1e999, "op": "ping"}\n',  # id decodes to inf
+            b'{"id": NaN, "op": "ping"}\n',
+            b'{"id": 7, "op": "dist", "u": 1e999, "v": 1}\n',
+        ]
+        responses, _, _ = self._exchange(
+            bundle, [b"".join(probes) + b'{"id": 8, "op": "ping"}\n'],
+            answers=len(probes) + 1,
+        )
+        *bad, last = responses
+        assert [r["ok"] for r in bad] == [False] * len(probes)
+        assert "JSON" in bad[0]["error"] and "JSON" in bad[1]["error"]
+        assert bad[4]["id"] == 7
+        assert last == {"id": 8, "ok": True, "value": "pong"}
+
+    def test_one_write_per_connection_per_batch(self, bundle, monkeypatch):
+        writes = []
+        real_write = asyncio.StreamWriter.write
+
+        def counting_write(self, data):
+            writes.append((self, data))
+            return real_write(self, data)
+
+        monkeypatch.setattr(asyncio.StreamWriter, "write", counting_write)
+
+        async def _run():
+            service = QueryService(bundle)
+            server = SpannerServer(service, port=0)
+            await server.start()
+            assert server.address is not None
+            reader, writer = await asyncio.open_connection(*server.address)
+            writer.write(b"".join(
+                json.dumps({"id": rid, "op": "ping"}).encode() + b"\n"
+                for rid in range(50)
+            ) + b'{"id": "bye", "op": "shutdown"}\n')
+            await writer.drain()
+            got = [json.loads(await reader.readline()) for _ in range(51)]
+            writer.close()
+            await server.wait_closed()
+            served = [data for who, data in writes if who is not writer]
+            return got, served, service.metrics.histogram("serving_batch_size")
+
+        got, served, batches = asyncio.run(_run())
+        assert [r["id"] for r in got] == list(range(50)) + ["bye"]
+        assert len(served) == batches.count
+        assert b"".join(served).count(b"\n") == 51
 
     def test_max_requests_stops_server(self, bundle):
         async def _run():

@@ -16,9 +16,14 @@ across all three engines.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from typing import Any, Dict, List, Tuple
 
 import pytest
+
+import repro
 
 from repro.distributed import FaultPlan
 from repro.distributed.reliable import build_network
@@ -222,3 +227,32 @@ class TestMultiPhaseResumability:
         assert sharded_stats == clean_stats
         # The flood needs a full sweep: phase 1 alone cannot finish.
         assert clean_stats.rounds > 2
+
+
+_SHUTDOWN_SCRIPT = """
+from repro.distributed.sharded import shutdown_workers
+from repro.graphs import erdos_renyi_gnp
+from repro.obs import run_traced
+
+run_traced("baswana_sen", erdos_renyi_gnp(60, 0.1, seed=7), seed=11,
+           shards=2)
+shutdown_workers()
+print("done")
+"""
+
+
+def test_shutdown_workers_is_quiet():
+    # The coordinator closes the pipes right after sending ``exit``; a
+    # worker that still replied died with a BrokenPipeError traceback.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", _SHUTDOWN_SCRIPT],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "done"
+    assert "Traceback" not in result.stderr, result.stderr
