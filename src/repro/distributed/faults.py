@@ -37,6 +37,8 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.util.rng import SeedLike, ensure_rng, make_prf
 
+#: the fate :meth:`FaultPlan.decide` gives an unperturbed delivery.
+DELIVER = "deliver"
 #: fault kinds recorded in :class:`FaultEvent`.
 DROP = "drop"
 DUPLICATE = "duplicate"
@@ -157,7 +159,13 @@ class FaultPlan:
         self.max_delay = max_delay
         self.reorder_rate = reorder_rate
         self.max_logged_events = max_logged_events
-        self._prf = make_prf(seed)
+        # The per-delivery draws are keyed on coordinates that never
+        # repeat, so they use the prf's un-memoized per-tag streams.
+        prf = make_prf(seed)
+        self._msg = prf.stream("msg", 4)
+        self._delay = prf.stream("delay", 4)
+        self._reorder = prf.stream("reorder?", 2)
+        self._reorder_seed = prf.stream("reorder-seed", 2)
         self._crashes: Dict[int, CrashSpec] = {}
         for spec in crashes:
             if not isinstance(spec, CrashSpec):
@@ -205,10 +213,10 @@ class FaultPlan:
     ) -> Tuple[str, int]:
         """Fate of one delivery: ``(kind, info)``.
 
-        ``kind`` is ``"deliver"``, :data:`DROP`, :data:`DUPLICATE` or
+        ``kind`` is :data:`DELIVER`, :data:`DROP`, :data:`DUPLICATE` or
         :data:`DELAY` (``info`` = extra rounds, in [1, max_delay]).
         """
-        u = self._prf("msg", round_no, src, dst, slot)
+        u = self._msg(round_no, src, dst, slot)
         if u < self.drop_rate:
             return DROP, 0
         u -= self.drop_rate
@@ -217,10 +225,10 @@ class FaultPlan:
         u -= self.duplicate_rate
         if u < self.delay_rate:
             extra = 1 + int(
-                self._prf("delay", round_no, src, dst, slot) * self.max_delay
+                self._delay(round_no, src, dst, slot) * self.max_delay
             )
             return DELAY, min(extra, self.max_delay)
-        return "deliver", 0
+        return DELIVER, 0
 
     def reorder_permutation(
         self, round_no: int, dst: int, size: int
@@ -228,11 +236,9 @@ class FaultPlan:
         """A deterministic inbox permutation, or ``None`` (keep order)."""
         if size < 2 or self.reorder_rate <= 0.0:
             return None
-        if self._prf("reorder?", round_no, dst) >= self.reorder_rate:
+        if self._reorder(round_no, dst) >= self.reorder_rate:
             return None
-        shuffle_seed = int(
-            self._prf("reorder-seed", round_no, dst) * 2**63
-        )
+        shuffle_seed = int(self._reorder_seed(round_no, dst) * 2**63)
         perm = list(range(size))
         ensure_rng(shuffle_seed).shuffle(perm)
         if perm == sorted(perm):

@@ -187,6 +187,9 @@ class ReliableProgram(NodeProgram):
         self.last_frame: Dict[int, Tuple[int, Any]] = {}
         #: src -> real round at which we started waiting on them.
         self.blocked_since: Dict[int, int] = {}
+        #: a lower bound on every unacked frame's next retry round, so
+        #: rounds with nothing due skip the retransmission scan.
+        self._next_due: float = 0
         self._api: Optional[Api] = None
         self._shim: Optional[_VirtualApi] = None
         self._nbrs: List[int] = []
@@ -215,16 +218,21 @@ class ReliableProgram(NodeProgram):
         self, api: Api, round_index: int, inbox: List[Tuple[int, Any]]
     ) -> None:
         self._real_round = round_index
+        unacked = self.unacked
         for src, msg in inbox:
             tag = msg[0]
             if tag == _ACK:
-                self.unacked.pop((src, msg[1]), None)
+                unacked.pop((src, msg[1]), None)
             elif tag == _FRAME:
                 self._receive_frame(api, src, msg)
-        self._advance()
-        self._retransmit(api)
-        self._probe(api)
-        self._maybe_halt(api)
+        if not self.inner_halted and self.vround < self.target:
+            self._advance()
+        if unacked and round_index >= self._next_due:
+            self._retransmit(api)
+        if self.blocked_since:
+            self._probe(api)
+        if self.inner_halted:
+            self._maybe_halt(api)
 
     def on_amnesia_recover(self, api: Api, round_index: int) -> None:
         """Forward the amnesia signal to the wrapped inner program.
@@ -248,10 +256,13 @@ class ReliableProgram(NodeProgram):
             # the link dead symmetrically.
             return
         t, payloads, halted = msg[1], msg[2], msg[3]
-        api.send(src, (_ACK, t))
-        if t in self.seen[src]:
+        # Acks and frames only ever go to neighbors: enqueued directly,
+        # without Api.send's membership check.
+        api._outbox.append((src, (_ACK, t)))
+        seen = self.seen[src]
+        if t in seen:
             return  # duplicate (or probe): re-acked above, not redelivered
-        self.seen[src].add(t)
+        seen.add(t)
         self.frames_in[src][t] = payloads
         if halted:
             self.halted_after[src] = t
@@ -260,20 +271,19 @@ class ReliableProgram(NodeProgram):
     # ------------------------------------------------------------------
     # Virtual-round execution
     # ------------------------------------------------------------------
-    def _needed_from(self, u: int, t: int) -> bool:
-        """Whether executing inner round ``t`` requires frame t-1 from u."""
-        if u in self.dead:
-            return False
-        if u in self.halted_after and self.halted_after[u] < t - 1:
-            return False
-        return True
-
     def _ready(self, t: int) -> bool:
+        """Whether frame t-1 has arrived from every neighbor inner round
+        ``t`` waits on (live, and not halted before round t-1); records
+        since when each missing one has been waited on."""
         ready = True
+        prev = t - 1
+        dead = self.dead
+        halted_after = self.halted_after
+        frames_in = self.frames_in
         for u in self._nbrs:
-            if not self._needed_from(u, t):
+            if u in dead or halted_after.get(u, prev) < prev:
                 continue
-            if (t - 1) in self.frames_in[u]:
+            if prev in frames_in[u]:
                 continue
             self.blocked_since.setdefault(u, self._real_round)
             ready = False
@@ -287,9 +297,10 @@ class ReliableProgram(NodeProgram):
         ):
             t = self.vround + 1
             inbox: List[Tuple[int, Any]] = []
-            for u in sorted(self._nbrs):
+            for u in self._nbrs:  # sorted: the inbox comes out src-sorted
                 payloads = self.frames_in[u].pop(t - 1, ())
-                inbox.extend((u, p) for p in payloads)
+                if payloads:
+                    inbox.extend((u, p) for p in payloads)
             self.inner.on_round(self._shim, t, inbox)
             self.vround = t
             self.inner_halted = self._shim._halted
@@ -310,37 +321,46 @@ class ReliableProgram(NodeProgram):
             self._transmit(u, t, msg)
 
     def _transmit(self, dst: int, t: int, msg: Any) -> None:
-        self._api.send(dst, msg)
-        self.unacked[(dst, t)] = [msg, self._real_round + self.cfg.rto, 0]
+        self._api._outbox.append((dst, msg))
+        due = self._real_round + self.cfg.rto
+        self.unacked[(dst, t)] = [msg, due, 0]
+        if due < self._next_due:
+            self._next_due = due
 
     # ------------------------------------------------------------------
     # Retransmission, probing, link death
     # ------------------------------------------------------------------
     def _retransmit(self, api: Api) -> None:
+        """Resend every due unacked frame; reset ``_next_due``."""
         cfg = self.cfg
         network = api._network
         stats = network.stats
+        now = self._real_round
+        next_due = float("inf")
         for key in sorted(self.unacked):
             entry = self.unacked.get(key)
             if entry is None:
                 continue
             msg, next_retry, tries = entry
-            if self._real_round < next_retry:
+            if now < next_retry:
+                if next_retry < next_due:
+                    next_due = next_retry
                 continue
             dst = key[0]
             if tries >= cfg.max_tries:
                 self._mark_dead(api, dst)
                 continue
-            api.send(dst, msg)
+            api._outbox.append((dst, msg))
             stats.retransmissions += 1
             if network.obs is not None:
-                network.obs.on_retransmit(
-                    self._real_round, api.node_id, dst
-                )
+                network.obs.on_retransmit(now, api.node_id, dst)
             entry[2] = tries + 1
-            entry[1] = self._real_round + max(
+            entry[1] = next_retry = now + max(
                 1, int(cfg.rto * cfg.backoff ** (tries + 1))
             )
+            if next_retry < next_due:
+                next_due = next_retry
+        self._next_due = next_due
 
     def _probe(self, api: Api) -> None:
         """Re-send the latest (acked) frame to silent blocking neighbors.
@@ -356,13 +376,16 @@ class ReliableProgram(NodeProgram):
         cfg = self.cfg
         network = api._network
         stats = network.stats
+        unacked_dsts = None
         for u, since in sorted(self.blocked_since.items()):
-            if u in self.dead:
-                continue
-            if any(key[0] == u for key in self.unacked):
-                continue  # retransmission already in progress
             if self._real_round - since < cfg.probe_after:
                 continue
+            if u in self.dead:
+                continue
+            if unacked_dsts is None:
+                unacked_dsts = {key[0] for key in self.unacked}
+            if u in unacked_dsts:
+                continue  # retransmission already in progress
             t, msg = self.last_frame.get(u, (None, None))
             if msg is None:
                 continue
@@ -447,6 +470,14 @@ class ReliableNetwork:
         self.obs = obs
         self.stats = self.network.stats
         self._virtual_target = 0
+        #: the plan if it holds any CrashSpec (else every node is live).
+        self._crash_plan = self.network._crash_plan
+        #: (vertex, wrapper) in vertex order; those before
+        #: ``_done_upto`` have reached the virtual target (or halted).
+        self._ordered = sorted(self.wrappers.items())
+        self._done_upto = 0
+        #: ``stats.dead_links`` when the links were last checked.
+        self._dead_checked = 0
 
     # ------------------------------------------------------------------
     def apply_programs(
@@ -462,9 +493,8 @@ class ReliableNetwork:
         return [fn(self.programs, *args, **kwargs)]
 
     def _live(self, v: int) -> bool:
-        if self.fault_plan is None:
-            return True
-        return not self.fault_plan.is_crashed(
+        plan = self._crash_plan
+        return plan is None or not plan.is_crashed(
             v, self.network.stats.rounds + 1
         )
 
@@ -492,10 +522,20 @@ class ReliableNetwork:
         return False
 
     def _all_done(self) -> bool:
-        for v, w in self.wrappers.items():
-            if not self._live(v):
-                continue
-            if not (w.inner_halted or w.vround >= self._virtual_target):
+        # A wrapper that has halted or reached the target stays so for
+        # the rest of this run() call, so the scan resumes where the
+        # last one stopped instead of starting over every real round.
+        target = self._virtual_target
+        ordered = self._ordered
+        i = self._done_upto
+        while i < len(ordered) and (
+            ordered[i][1].inner_halted or ordered[i][1].vround >= target
+        ):
+            i += 1
+        self._done_upto = i
+        for j in range(i, len(ordered)):
+            v, w = ordered[j]
+            if not (w.inner_halted or w.vround >= target) and self._live(v):
                 return False
         return not self._blocking_unacked()
 
@@ -537,15 +577,16 @@ class ReliableNetwork:
         ``floor``, so each ``run`` call executes at least one inner round,
         like :meth:`Network.run` — and no inner payload is buffered or
         awaiting an ack anywhere."""
-        fronts = {
-            w.vround
-            for v, w in self.wrappers.items()
-            if self._live(v) and not w.inner_halted
-        }
-        if len(fronts) > 1:
-            return False
-        if fronts and min(fronts) <= floor:
-            return False
+        front = None
+        for v, w in self._ordered:
+            if w.inner_halted or not self._live(v):
+                continue
+            if front is None:
+                front = w.vround
+                if front <= floor:
+                    return False
+            elif w.vround != front:
+                return False
         return not self.in_flight
 
     def run(
@@ -554,6 +595,7 @@ class ReliableNetwork:
         """Execute up to ``max_rounds`` further inner rounds everywhere."""
         cfg = self.config
         self._virtual_target += max_rounds
+        self._done_upto = 0
         for w in self.wrappers.values():
             w.target = self._virtual_target
         limit = (
@@ -569,7 +611,9 @@ class ReliableNetwork:
             if stop_when_idle and self._virtually_idle(floor):
                 break
             self.network.run(max_rounds=1)
-            self._check_dead_links()
+            if self.stats.dead_links != self._dead_checked:
+                self._dead_checked = self.stats.dead_links
+                self._check_dead_links()
             spent += 1
             if spent > limit:
                 fronts = sorted({w.vround for w in self.wrappers.values()})

@@ -22,8 +22,8 @@ are skipped via an incrementally maintained active list rather than
 scanned; payload word counts are memoized
 (:class:`repro.util.words.WordCounter`); and because senders are
 collected in ascending vertex order, each inbox bucket is *already*
-src-sorted on the clean path, so the per-node ``sorted()`` call is paid
-only when a fault plan can perturb delivery order.  ``run()`` dispatches
+src-sorted, so a bucket is re-sorted only when a fault-delayed arrival
+joined it.  ``run()`` dispatches
 to a specialized inner loop when ``fault_plan is None and obs is None``
 — the configuration every benchmark measures — so clean runs pay zero
 per-message branching for faults or observability.  The optimized and
@@ -34,11 +34,13 @@ generic loops are pinned identical by ``tests/test_engine_equivalence
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.distributed.faults import (
     CRASH_DROP,
     DELAY,
+    DELIVER,
     DROP,
     DUPLICATE,
     REORDER,
@@ -47,6 +49,10 @@ from repro.distributed.faults import (
 )
 from repro.graphs.graph import Graph
 from repro.util.words import WordCounter
+
+
+#: sort key of an inbox entry ``(src, payload)``.
+_src_of = itemgetter(0)
 
 
 class ProtocolError(RuntimeError):
@@ -292,6 +298,13 @@ class Network:
         self.fault_log_limit = (
             fault_plan.max_logged_events if fault_plan is not None else 256
         )
+        #: the plan if it holds any CrashSpec, else None: a crash-free
+        #: plan is never asked about crashes.
+        self._crash_plan = (
+            fault_plan
+            if fault_plan is not None and fault_plan.crashed_nodes()
+            else None
+        )
         #: hot-path state, computed once: ascending vertex order and the
         #: per-node sorted neighbor lists (never re-sorted per round).
         self._order: List[int] = sorted(graph.vertices())
@@ -485,58 +498,66 @@ class Network:
     def _apply_faults(
         self, round_no: int, pending: Dict[int, List[Tuple[int, Any]]]
     ) -> Dict[int, List[Tuple[int, Any]]]:
-        """Consult the fault plan for every delivery due this round."""
+        """Consult the fault plan for every delivery due this round.
+
+        Every returned inbox is src-sorted, as ``_collect_outboxes`` left
+        it: a duplicate is queued next to its original, so only an inbox
+        that a fault-delayed arrival joined needs (stable) re-sorting.
+        """
         plan = self.fault_plan
         if plan is None:  # callers gate on fault_plan; keep mypy honest
             return pending
         stats = self.stats
-        for event in plan.transitions(round_no):
-            self._record_fault(event)
+        crash_plan = self._crash_plan
+        record = self._record_fault
+        decide = plan.decide
+        if crash_plan is not None:
+            for event in crash_plan.transitions(round_no):
+                record(event)
         delivered: Dict[int, List[Tuple[int, Any]]] = {}
         for dst in sorted(pending):
             msgs = pending[dst]
-            if plan.is_crashed(dst, round_no):
+            if crash_plan is not None and crash_plan.is_crashed(dst, round_no):
                 stats.dropped += len(msgs)
-                self._record_fault(
+                record(
                     FaultEvent(CRASH_DROP, round_no, dst=dst,
                                info=len(msgs))
                 )
                 continue
             bucket: List[Tuple[int, Any]] = []
-            for slot, (src, payload) in enumerate(msgs):
-                kind, info = plan.decide(round_no, src, dst, slot)
-                if kind == DROP:
+            for slot, msg in enumerate(msgs):
+                src = msg[0]
+                kind, info = decide(round_no, src, dst, slot)
+                if kind == DELIVER:
+                    bucket.append(msg)
+                elif kind == DROP:
                     stats.dropped += 1
-                    self._record_fault(FaultEvent(DROP, round_no, src, dst))
+                    record(FaultEvent(DROP, round_no, src, dst))
                 elif kind == DUPLICATE:
                     stats.duplicated += 1
-                    self._record_fault(
-                        FaultEvent(DUPLICATE, round_no, src, dst)
-                    )
-                    bucket.append((src, payload))
-                    bucket.append((src, payload))
-                elif kind == DELAY:
-                    stats.delayed += 1
-                    self._record_fault(
-                        FaultEvent(DELAY, round_no, src, dst, info=info)
-                    )
-                    self._delayed.setdefault(round_no + info, []).append(
-                        (dst, src, payload)
-                    )
+                    record(FaultEvent(DUPLICATE, round_no, src, dst))
+                    bucket.append(msg)
+                    bucket.append(msg)
                 else:
-                    bucket.append((src, payload))
+                    stats.delayed += 1
+                    record(FaultEvent(DELAY, round_no, src, dst, info=info))
+                    self._delayed.setdefault(round_no + info, []).append(
+                        (dst, src, msg[1])
+                    )
             if bucket:
                 delivered[dst] = bucket
         # Fault-delayed messages due now join the inboxes directly (their
         # fate was already decided when they were first due).
+        joined: Dict[int, List[Tuple[int, Any]]] = {}
         for dst, src, payload in self._delayed.pop(round_no, ()):
-            if plan.is_crashed(dst, round_no):
+            if crash_plan is not None and crash_plan.is_crashed(dst, round_no):
                 stats.dropped += 1
-                self._record_fault(
-                    FaultEvent(CRASH_DROP, round_no, src, dst)
-                )
+                record(FaultEvent(CRASH_DROP, round_no, src, dst))
                 continue
-            delivered.setdefault(dst, []).append((src, payload))
+            bucket = joined[dst] = delivered.setdefault(dst, [])
+            bucket.append((src, payload))
+        for bucket in joined.values():
+            bucket.sort(key=_src_of)
         return delivered
 
     def run(
@@ -599,17 +620,20 @@ class Network:
     ) -> NetworkStats:
         """The full inner loop: fault injection and/or observability.
 
-        Inbox buckets leave ``_collect_outboxes`` src-sorted; only a
-        fault plan can perturb that (delayed arrivals are appended after
-        their bucket), so the re-sort is paid exactly when a plan is
-        attached — and the stable sort makes the merged order identical
-        to the pre-optimization engine's unconditional sort.
+        Inboxes arrive src-sorted from ``_apply_faults`` (or directly
+        from ``_collect_outboxes`` without a plan), so only a reorder
+        fault permutes them.  Crash queries are skipped outright when
+        the plan holds no :class:`CrashSpec`.
         """
         plan = self.fault_plan
         obs = self.obs
+        crash_plan = self._crash_plan
+        reorder_plan = (
+            plan if plan is not None and plan.reorder_rate > 0.0 else None
+        )
         if not self._setup_done:
             for v, api, program in self._pairs:
-                if plan is not None and plan.is_crashed(v, 0):
+                if crash_plan is not None and crash_plan.is_crashed(v, 0):
                     continue
                 program.setup(api)
             self._collect_outboxes()
@@ -626,34 +650,35 @@ class Network:
             pending, self._pending = self._pending, {}
             if plan is not None:
                 pending = self._apply_faults(round_no, pending)
+            if crash_plan is not None:
                 # Amnesia recoveries fire before the round's on_round:
                 # the node wipes volatile state (and may solicit a
                 # repair handshake) before seeing any new messages.
-                for v in plan.amnesia_recoveries(round_no):
+                for v in crash_plan.amnesia_recoveries(round_no):
                     api_v = self._apis[v]
                     if not api_v._halted:
                         self.programs[v].on_amnesia_recover(api_v, round_no)
+            get_inbox = pending.get
             for api, program in self._active_pairs():
                 v = api.node_id
-                if plan is not None and plan.is_crashed(v, round_no):
+                if crash_plan is not None and crash_plan.is_crashed(
+                    v, round_no
+                ):
                     continue
-                raw = pending.get(v)
-                if raw is None:
-                    inbox: List[Tuple[int, Any]] = []
-                else:
-                    inbox = raw
-                    if plan is not None:
-                        inbox = sorted(inbox, key=lambda sp: sp[0])
-                        perm = plan.reorder_permutation(
-                            round_no, v, len(inbox)
+                inbox = get_inbox(v)
+                if inbox is None:
+                    inbox = []
+                if reorder_plan is not None and len(inbox) > 1:
+                    perm = reorder_plan.reorder_permutation(
+                        round_no, v, len(inbox)
+                    )
+                    if perm is not None:
+                        inbox = [inbox[i] for i in perm]
+                        stats.reordered += 1
+                        self._record_fault(
+                            FaultEvent(REORDER, round_no, dst=v,
+                                       info=len(inbox))
                         )
-                        if perm is not None:
-                            inbox = [inbox[i] for i in perm]
-                            stats.reordered += 1
-                            self._record_fault(
-                                FaultEvent(REORDER, round_no, dst=v,
-                                           info=len(inbox))
-                            )
                 program.on_round(api, round_no, inbox)
             self._collect_outboxes()
             if stop_when_idle and not self.in_flight:

@@ -44,9 +44,12 @@ from __future__ import annotations
 import json
 import zlib
 from contextlib import contextmanager, nullcontext
+from json.encoder import c_make_encoder  # type: ignore[attr-defined]
+from json.encoder import encode_basestring_ascii
 from typing import (
     IO,
     Any,
+    Callable,
     ContextManager,
     Dict,
     Iterable,
@@ -116,18 +119,34 @@ class TraceRecorder:
         return recorder
 
 
-#: built once: ``json.dumps`` would construct an encoder per event.
+#: the canonical line format: sorted keys, no spaces.
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
-def _dump_line(event: Dict[str, Any]) -> str:
-    return _ENCODER.encode(event)
+def _line_encoder() -> Callable[[Dict[str, Any]], str]:
+    """``_ENCODER.encode`` for one dump, with its set-up done once.
+
+    ``JSONEncoder.encode`` builds a new C encoder (and markers dict) on
+    every call; this builds the one it would build, from ``_ENCODER``'s
+    own settings, and reuses it for every event of the dump.
+    """
+    enc = _ENCODER
+    if c_make_encoder is None:  # no C accelerator: encode's own path
+        return enc.encode
+    make = c_make_encoder(
+        {}, enc.default, encode_basestring_ascii, None,
+        enc.key_separator, enc.item_separator, enc.sort_keys,
+        enc.skipkeys, enc.allow_nan,
+    )
+    join = "".join
+    return lambda event: join(make(event, 0))
 
 
 def dumps_events(events: Iterable[Dict[str, Any]]) -> str:
     """Serialize events as canonical JSONL (sorted keys, no spaces) —
     byte-identical for identical event streams."""
-    return "".join(_dump_line(e) + "\n" for e in events)
+    encode = _line_encoder()
+    return "".join([encode(e) + "\n" for e in events])
 
 
 def dump_events(
@@ -207,7 +226,7 @@ class Obs:
         self.rounds += 1
         rec = self.recorder
         if rec is not None and rec.enabled:
-            rec.emit("round", r=round_no)
+            rec.events.append({"e": "round", "r": round_no})
 
     def on_send(
         self, round_no: int, src: int, dst: int, words: int, payloads: Any
@@ -216,14 +235,12 @@ class Obs:
         self.words += words
         rec = self.recorder
         if rec is not None and rec.enabled:
-            rec.emit(
-                "send",
-                r=round_no,
-                src=src,
-                dst=dst,
-                w=words,
-                pl=payload_fingerprint(payloads),
-            )
+            # One dict literal: emit()'s keyword packing and merge
+            # cost more than the event itself on this path.
+            rec.events.append({
+                "e": "send", "r": round_no, "src": src, "dst": dst,
+                "w": words, "pl": payload_fingerprint(payloads),
+            })
 
     def on_send_fingerprint(
         self, round_no: int, src: int, dst: int, words: int, fingerprint: int
@@ -247,19 +264,17 @@ class Obs:
     def on_fault(self, event: Any) -> None:
         rec = self.recorder
         if rec is not None and rec.enabled:
-            rec.emit(
-                "fault",
-                kind=event.kind,
-                r=event.round,
-                src=event.src,
-                dst=event.dst,
-                info=event.info,
-            )
+            rec.events.append({
+                "e": "fault", "kind": event.kind, "r": event.round,
+                "src": event.src, "dst": event.dst, "info": event.info,
+            })
 
     def on_retransmit(self, round_no: int, src: int, dst: int) -> None:
         rec = self.recorder
         if rec is not None and rec.enabled:
-            rec.emit("retransmit", r=round_no, src=src, dst=dst)
+            rec.events.append(
+                {"e": "retransmit", "r": round_no, "src": src, "dst": dst}
+            )
 
     def on_halt(self, round_no: int, node: int) -> None:
         rec = self.recorder

@@ -26,9 +26,10 @@ class Spanner:
     ) -> None:
         self.host = host
         self.edges: Set[Edge] = {canonical_edge(u, v) for u, v in edges}
-        for u, v in sorted(self.edges):
-            if not host.has_edge(u, v):
-                raise ValueError(f"spanner edge {(u, v)} not in host graph")
+        has_edge = host.has_edge
+        bad = {e for e in self.edges if not has_edge(*e)}
+        if bad:  # the smallest bad edge, as a sorted scan would name
+            raise ValueError(f"spanner edge {min(bad)} not in host graph")
         self.metadata: Dict[str, Any] = dict(metadata or {})
         self._subgraph: Optional[Graph] = None
 

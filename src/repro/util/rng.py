@@ -75,6 +75,30 @@ class SaltedPrf:
             pass
         return value
 
+    def stream(self, tag: str, arity: int) -> Callable[..., float]:
+        """``lambda *coords: self(tag, *coords)`` for ``arity`` int
+        coordinates, without the memo.
+
+        For keys that never repeat (a fault plan's per-delivery draws)
+        the memo is pure cost.  The digest input is the one
+        :meth:`__call__` builds — ``"%d"`` and ``repr`` agree on every
+        ``int`` (not on ``bool``) — so every value is the same; the
+        sha256 state of the constant ``salt + repr(tag) + ":"`` prefix
+        is computed once and copied per draw.
+        """
+        import hashlib
+
+        copy = hashlib.sha256(self._salt + (repr(tag) + ":").encode()).copy
+        fmt = b":".join([b"%d"] * arity)
+        from_bytes = int.from_bytes
+
+        def draw(*coords: int) -> float:
+            h = copy()
+            h.update(fmt % coords)
+            return from_bytes(h.digest()[:8], "little") / 2**64
+
+        return draw
+
     def __getstate__(self) -> bytes:
         return self._salt
 

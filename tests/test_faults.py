@@ -5,6 +5,8 @@ from __future__ import annotations
 from typing import Any, List, Tuple
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.distributed import (
     Api,
@@ -20,10 +22,13 @@ from repro.distributed.faults import (
     CRASH,
     CRASH_DROP,
     DELAY,
+    DELIVER,
     DROP,
+    DUPLICATE,
     RECOVER,
 )
 from repro.graphs import complete, path, star
+from repro.util.rng import ensure_rng, make_prf
 
 
 class Recorder(NodeProgram):
@@ -338,3 +343,74 @@ class TestEventLog:
         e = FaultEvent(DROP, 4, src=1, dst=2)
         assert str(e) == "r4 drop 1->2"
         assert "crash" in str(FaultEvent(CRASH, 2, dst=7))
+
+
+# ----------------------------------------------------------------------
+# The plan's per-tag fault streams against the memoized PRF
+# ----------------------------------------------------------------------
+_SEEDS = st.integers(min_value=0, max_value=2**64)
+_COORD = st.integers(min_value=0, max_value=2**70)
+_RATE = st.floats(min_value=0.0, max_value=0.33)
+
+
+def _reference_decide(prf, plan, round_no, src, dst, slot):
+    """``FaultPlan.decide`` as written against the memoized PRF."""
+    u = prf("msg", round_no, src, dst, slot)
+    if u < plan.drop_rate:
+        return DROP, 0
+    u -= plan.drop_rate
+    if u < plan.duplicate_rate:
+        return DUPLICATE, 0
+    u -= plan.duplicate_rate
+    if u < plan.delay_rate:
+        extra = 1 + int(
+            prf("delay", round_no, src, dst, slot) * plan.max_delay
+        )
+        return DELAY, min(extra, plan.max_delay)
+    return DELIVER, 0
+
+
+def _reference_reorder(prf, plan, round_no, dst, size):
+    """``FaultPlan.reorder_permutation`` against the memoized PRF."""
+    if size < 2 or plan.reorder_rate <= 0.0:
+        return None
+    if prf("reorder?", round_no, dst) >= plan.reorder_rate:
+        return None
+    perm = list(range(size))
+    ensure_rng(int(prf("reorder-seed", round_no, dst) * 2**63)).shuffle(perm)
+    return None if perm == sorted(perm) else perm
+
+
+class TestFaultStreams:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=_SEEDS, coords=st.lists(_COORD, min_size=4, max_size=4))
+    def test_stream_equals_memoized_prf(self, seed, coords):
+        prf = make_prf(seed)
+        for tag, arity in (("msg", 4), ("delay", 4),
+                           ("reorder?", 2), ("reorder-seed", 2)):
+            keys = coords[:arity]
+            assert prf.stream(tag, arity)(*keys) == prf(tag, *keys)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=_SEEDS,
+        coords=st.lists(_COORD, min_size=4, max_size=4),
+        rates=st.tuples(_RATE, _RATE, _RATE, st.floats(0.0, 1.0)),
+        max_delay=st.integers(min_value=1, max_value=5),
+        size=st.integers(min_value=0, max_value=12),
+    )
+    def test_decisions_equal_the_memoized_prf(
+        self, seed, coords, rates, max_delay, size
+    ):
+        drop, dup, delay, reorder = rates
+        plan = FaultPlan(seed=seed, drop_rate=drop, duplicate_rate=dup,
+                         delay_rate=delay, max_delay=max_delay,
+                         reorder_rate=reorder)
+        prf = make_prf(seed)
+        r, src, dst, slot = coords
+        assert plan.decide(r, src, dst, slot) == _reference_decide(
+            prf, plan, r, src, dst, slot
+        )
+        assert plan.reorder_permutation(r, dst, size) == _reference_reorder(
+            prf, plan, r, dst, size
+        )

@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.report import phase_budget_report, render_phase_budget
-from repro.distributed import FaultEvent, FaultPlan
+from repro.distributed import CrashSpec, FaultEvent, FaultPlan
 from repro.distributed.faults import DROP
 from repro.distributed.simulator import NetworkStats
 from repro.graphs import erdos_renyi_gnp, zoo
@@ -118,18 +118,52 @@ GOLDEN_TRACE_SHA256 = (
     "b42a220cf1aba02e4a0e071ee6029a272bdbfa2a0cebe135883fdfbe78c7e378"
 )
 
+#: the same pin for the two long chaos runs (same host, seeds and plan).
+GOLDEN_TRACE_SHA256_BY_PROTOCOL = {
+    "skeleton":
+        "cc7b147a4ead3e842a992caac5ef9ba30c41ac38ababe8a897958c350d9463b7",
+    "fibonacci":
+        "8ac71d0aec49027e513bec014e61e96cb086c95803dafebc865349e1048e8ca2",
+}
 
-def test_golden_trace_digest():
+#: Baswana-Sen again, with a crash-stop and a crash-recover CrashSpec
+#: added to the plan: pins the crash branches (transitions, crash-drops
+#: of pending and of delayed messages, link death) that a crash-free
+#: plan never enters.
+GOLDEN_CRASH_TRACE_SHA256 = (
+    "53d8b286781c26625d47e86d61f3d38801cdd5c866ac8d9cabe803d7b0c658b4"
+)
+GOLDEN_CRASHES = (
+    CrashSpec(3, crash_round=4),
+    CrashSpec(11, crash_round=9, recover_round=30),
+)
+
+
+def _golden_digest(protocol, crashes=()):
     host = zoo.build_host("grid", "smoke", 1001)
     plan = FaultPlan(seed=1, drop_rate=0.05, duplicate_rate=0.02,
-                     delay_rate=0.05, reorder_rate=0.1)
+                     delay_rate=0.05, reorder_rate=0.1, crashes=crashes)
     recorder = TraceRecorder()
     obs = Obs(recorder=recorder, metrics=MetricsRegistry(),
-              protocol="baswana_sen")
-    run_traced("baswana_sen", host, seed=1, obs=obs,
+              protocol=protocol)
+    run_traced(protocol, host, seed=1, obs=obs,
                reliable=True, fault_plan=plan)
-    digest = hashlib.sha256(recorder.dumps().encode()).hexdigest()
-    assert digest == GOLDEN_TRACE_SHA256
+    return hashlib.sha256(recorder.dumps().encode()).hexdigest()
+
+
+def test_golden_trace_digest():
+    assert _golden_digest("baswana_sen") == GOLDEN_TRACE_SHA256
+
+
+@pytest.mark.parametrize("protocol", sorted(GOLDEN_TRACE_SHA256_BY_PROTOCOL))
+def test_golden_trace_digest_long_runs(protocol):
+    expected = GOLDEN_TRACE_SHA256_BY_PROTOCOL[protocol]
+    assert _golden_digest(protocol) == expected
+
+
+def test_golden_trace_digest_with_crashes():
+    digest = _golden_digest("baswana_sen", crashes=GOLDEN_CRASHES)
+    assert digest == GOLDEN_CRASH_TRACE_SHA256
 
 
 def test_payload_fingerprint_is_stable():

@@ -33,6 +33,16 @@ class TestSpannerObject:
         with pytest.raises(ValueError):
             Spanner(g, [(0, 2)])
 
+    def test_foreign_edge_error_names_the_smallest(self):
+        # Several bad edges, given out of order and uncanonicalized: the
+        # message names the smallest canonical one, whatever the order.
+        g = path(8)
+        edges = [(7, 5), (0, 1), (6, 2), (3, 1), (4, 5), (2, 0)]
+        for order in (edges, edges[::-1]):
+            with pytest.raises(ValueError) as err:
+                Spanner(g, order)
+            assert str(err.value) == "spanner edge (0, 2) not in host graph"
+
     def test_edges_canonicalized(self):
         g = path(4)
         sp = Spanner(g, [(1, 0), (0, 1)])
