@@ -18,7 +18,7 @@ Also prints Corollary 2's analytic beta triple for context.
 from __future__ import annotations
 
 from repro.analysis.tables import format_table
-from repro.analysis.theory import corollary2_betas
+from repro.core.theory import corollary2_betas
 from repro.core import (
     build_combined_spanner,
     build_fibonacci_spanner,

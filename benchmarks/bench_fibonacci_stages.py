@@ -21,7 +21,7 @@ shape Theorem 7 proves:
 from __future__ import annotations
 
 from repro.analysis.tables import format_table
-from repro.analysis.theory import theorem7_distortion_bound
+from repro.core.theory import theorem7_distortion_bound
 from repro.core import build_fibonacci_spanner
 from repro.graphs import grid_2d
 from repro.spanner import distance_profile

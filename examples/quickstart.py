@@ -4,7 +4,7 @@ Run:  python examples/quickstart.py
 """
 
 from repro import build_fibonacci_spanner, build_skeleton
-from repro.analysis.theory import (
+from repro.core.theory import (
     skeleton_distortion_bound,
     skeleton_size_bound,
 )

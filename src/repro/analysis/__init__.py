@@ -1,6 +1,7 @@
-"""Closed-form theory bounds, the X^t_p recurrence, and table formatting."""
+"""Closed-form theory bounds (from :mod:`repro.core.theory`), the X^t_p
+recurrence, and table formatting."""
 
-from repro.analysis.theory import (
+from repro.core.theory import (
     GAMMA,
     PHI,
     fib,

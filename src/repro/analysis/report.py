@@ -12,6 +12,7 @@ round budget.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List
 
@@ -151,9 +152,10 @@ def render_fig1(rows: List[AlgorithmRow], title: str = "") -> str:
 # ----------------------------------------------------------------------
 
 #: analytic per-call round budget of each (protocol, phase family); the
-#: ``[i]`` index of repeated phases is stripped before lookup.  These
-#: are the bounds the theorems charge each phase with — the report puts
-#: the measured rounds next to them.
+#: phase numbers are stripped before lookup (:func:`_phase_family`).
+#: These are the bounds the theorems charge each phase with — the report
+#: puts the measured rounds next to them.  In the deterministic rows
+#: ``depth = r_i + 1``.
 PHASE_ROUND_BUDGETS: Dict[Any, str] = {
     ("skeleton", "exchange"): "2",
     ("skeleton", "converge"): "r_i + pipe + 2",
@@ -170,7 +172,24 @@ PHASE_ROUND_BUDGETS: Dict[Any, str] = {
     ("fibonacci", "fallback"): "ell^i",
     ("fibonacci", "retrace"): "ell^i",
     ("survey", "survey"): "r",
+    ("deterministic", "sp.exchange"): "2",
+    ("deterministic", "sp.survey"): "depth + t_i + 4",
+    ("deterministic", "sp.rule.down"): "depth + 2",
+    ("deterministic", "sp.rule.x"): "2",
+    ("deterministic", "sp.rule.up"): "depth + 2",
+    ("deterministic", "sp.fin.down"): "depth + 2",
+    ("deterministic", "sp.res_x"): "2",
+    ("deterministic", "sp.res_up"): "depth + 3",
+    ("deterministic", "sp.res_join"): "2*depth + 5",
+    ("deterministic", "sp.res_death"): "depth + t_i + 4",
 }
+
+#: the numbers phase names embed: ``[i]`` indices, and the superphase,
+#: ruling-iteration, sub-step and wave numbers glued to a name part.
+_PHASE_NUMBER = re.compile(r"\[\d+\]|(?<=[a-z])\d+(?=\.|$)")
+#: the ruling iteration's sub-step tag (``m1``/``m2``/``ctr``/``d1``),
+#: whose three steps share one budget per tag.
+_RULE_STEP = re.compile(r"(?<=\brule\.)[a-z]+\.")
 
 
 @dataclass
@@ -195,7 +214,9 @@ class PhaseBudgetRow:
 
 
 def _phase_family(name: str) -> str:
-    return name.split("[", 1)[0]
+    """``forest[2]`` -> ``forest``, ``sp3.rule2.ctr.up`` -> ``sp.rule.up``,
+    ``sp0.res_join1`` -> ``sp.res_join``."""
+    return _RULE_STEP.sub("", _PHASE_NUMBER.sub("", name))
 
 
 def phase_budget_report(

@@ -642,10 +642,13 @@ def distributed_deterministic(
         budgeted_rounds += budget
 
     max_superphases = deterministic_phase_count(n, D)
-    # With faults and no reliable transport, dropped messages can starve
+    # With faults the reliable transport cannot mask (no reliable layer,
+    # or crashed nodes that stop answering), lost messages can starve
     # the progress argument (a survey or ruling wave silently loses its
     # minimum); degrade to a best-effort partial run instead of raising.
-    lossy = fault_plan is not None and not reliable
+    lossy = fault_plan is not None and (
+        not reliable or bool(fault_plan.crashed_nodes())
+    )
     degraded = False
     cluster_counts: List[int] = []
     ruling_iterations: List[int] = []

@@ -10,7 +10,7 @@ pointwise, applied to arbitrary sampled cases:
     knowledge alike must never invent edges).
 ``size``
     Edge count within the analytic budget of the matching
-    lemma/theorem (:func:`repro.analysis.theory.protocol_size_budget`),
+    lemma/theorem (:func:`repro.core.theory.protocol_size_budget`),
     scaled by ``size_slack``.
 ``stretch``
     The theorem's stretch guarantee via
@@ -50,16 +50,17 @@ import math
 import traceback
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.analysis.theory import (
+from repro.churn.events import events_from_json
+from repro.churn.oracle import CHURN_ORACLE_NAMES, check_churn
+from repro.core.theory import (
     protocol_size_budget,
     protocol_stretch_budget,
     theorem7_distortion_bound,
 )
-from repro.churn.events import events_from_json
-from repro.churn.oracle import CHURN_ORACLE_NAMES, check_churn
 from repro.fuzz.cases import FuzzCase, build_case_graph, materialize
 from repro.fuzz.runner import CaseExecution
 from repro.graphs.properties import bfs_distances
+from repro.obs.runners import protocol_spec
 from repro.spanner.verification import (
     verify_connectivity,
     verify_spanner_guarantee,
@@ -130,7 +131,7 @@ def oracle_subgraph(ex: CaseExecution) -> Optional[str]:
 
 def oracle_size(ex: CaseExecution, size_slack: float = 1.0) -> Optional[str]:
     case = ex.case
-    if case.protocol == "survey":
+    if not protocol_spec(case.protocol).spanner:
         return None
     clean = ex.clean()
     if case.protocol == "skeleton":
@@ -161,7 +162,7 @@ def oracle_size(ex: CaseExecution, size_slack: float = 1.0) -> Optional[str]:
 
 def oracle_stretch(ex: CaseExecution) -> Optional[str]:
     case = ex.case
-    if case.protocol == "survey":
+    if not protocol_spec(case.protocol).spanner:
         return None
     sub = ex.spanner_subgraph()
     if not verify_connectivity(ex.graph, sub):
@@ -169,8 +170,8 @@ def oracle_stretch(ex: CaseExecution) -> Optional[str]:
         # spanner would only drown that signal in inf noise.
         return None
     if case.protocol == "fibonacci":
-        order = int(case.params.get("order", 2))
-        eps = float(case.params.get("eps", 0.5))
+        order = int(ex.params["order"])
+        eps = float(ex.params["eps"])
         profile = distance_profile(ex.graph, sub)
         for d in sorted(profile):
             _, _, max_mult, _ = profile[d]
@@ -197,14 +198,13 @@ def oracle_stretch(ex: CaseExecution) -> Optional[str]:
 
 
 def oracle_connectivity(ex: CaseExecution) -> Optional[str]:
-    case = ex.case
-    if case.protocol != "survey":
+    if protocol_spec(ex.case.protocol).spanner:
         if not verify_connectivity(ex.graph, ex.spanner_subgraph()):
             return "spanner does not preserve host connectivity"
         return None
     known = ex.clean().known
     assert known is not None
-    radius = int(case.params.get("radius", 2))
+    radius = int(ex.params["radius"])
     for v in sorted(ex.graph.vertices()):
         dist = bfs_distances(ex.graph, v, cutoff=radius - 1)
         got = known.get(v, frozenset())
@@ -319,7 +319,7 @@ def oracle_rand_vs_det(ex: CaseExecution) -> Optional[str]:
     on the identical host graph with the same sparsity parameter ``D``
     and the case's protocol seed, then holds *both* constructions to
     their own analytic size budgets
-    (:func:`~repro.analysis.theory.protocol_size_budget`) and to host
+    (:func:`~repro.core.theory.protocol_size_budget`) and to host
     connectivity.  The randomized side keeps the Lemma 6 expected-size
     caveat (zero sampled centers exempts the per-instance budget).
     """
@@ -328,7 +328,7 @@ def oracle_rand_vs_det(ex: CaseExecution) -> Optional[str]:
         return None
     from repro.distributed.skeleton_protocol import distributed_skeleton
 
-    D = int(case.params.get("D", 4))
+    D = int(ex.params["D"])
     det = ex.clean()
     assert det.edges is not None
     # Lemma 1 needs D >= 4 on the randomized side; the deterministic

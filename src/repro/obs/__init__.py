@@ -17,8 +17,9 @@ actually go and makes two runs comparable event by event:
   ``(round, edge, event)``;
 * :mod:`repro.obs.profile` — per-phase wall-clock attribution with an
   opt-in sampling timer;
-* :mod:`repro.obs.runners` — ``run_traced(protocol, graph, ...)``, the
-  uniform driver used by the CLI, the tests and benchmark E21.
+* :mod:`repro.obs.runners` — :data:`PROTOCOL_SPECS`, the one protocol
+  registry, and ``run_traced(protocol, graph, ...)``, the uniform
+  driver used by the CLI, the tests and benchmark E21.
 
 See ``docs/observability.md`` for the event schema and the phase
 taxonomy of all six protocols.
@@ -35,7 +36,7 @@ from repro.obs.replay import (
     reconstruct_stats,
     summarize,
 )
-from repro.obs.runners import PROTOCOLS, run_traced
+from repro.obs.runners import PROTOCOL_SPECS, PROTOCOLS, run_traced
 from repro.obs.trace import (
     Obs,
     TraceRecorder,
@@ -53,6 +54,7 @@ __all__ = [
     "MetricsRegistry",
     "Obs",
     "PROTOCOLS",
+    "PROTOCOL_SPECS",
     "PhaseProfiler",
     "PhaseSummary",
     "PhaseTiming",

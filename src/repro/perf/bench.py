@@ -17,7 +17,7 @@ from __future__ import annotations
 import resource
 import sys
 from time import perf_counter
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.obs.runners import run_traced
 from repro.perf.workloads import (
@@ -38,6 +38,9 @@ __all__ = [
 #: one measured cell, as serialized into ``BENCH_*.json``.
 CellResult = Dict[str, Any]
 
+#: the three drift-gated counts of one rep (rounds, messages, words).
+Counts = Tuple[int, int, int]
+
 
 def _peak_rss_kb() -> int:
     """Peak resident set size of this process, in KiB.
@@ -51,43 +54,38 @@ def _peak_rss_kb() -> int:
     return peak
 
 
-def run_cell(cell: WorkloadCell, reps: int = 2) -> CellResult:
-    """Benchmark ``cell``: best-of-``reps`` wall time plus counts.
+def _best_of_reps(
+    head: CellResult,
+    reps: int,
+    rep: Callable[[], Tuple[float, Counts, CellResult]],
+) -> CellResult:
+    """Run ``rep`` ``reps`` times and build the cell's report row.
 
-    The graph is built once (outside the timed region — generator cost
-    is not simulator cost) and every rep runs the identical
-    deterministic computation, so counts are asserted equal across
-    reps.
+    ``rep()`` returns ``(wall_s, counts, extras)``.  Counts must agree
+    across reps (drift is a correctness failure, not noise); the row
+    is ``head`` plus the counts, the best wall time and the best rep's
+    ``extras``.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    graph = cell.build_graph()
     best_wall = float("inf")
-    counts: Optional[Tuple[int, int, int]] = None
+    counts: Optional[Counts] = None
+    extras: CellResult = {}
     for _ in range(reps):
-        start = perf_counter()
-        _, stats = run_traced(cell.protocol, graph, seed=cell.seed, obs=None)
-        wall = perf_counter() - start
-        rep_counts = (stats.rounds, stats.messages, stats.total_words)
+        wall, rep_counts, rep_extras = rep()
         if counts is None:
             counts = rep_counts
         elif counts != rep_counts:
             raise AssertionError(
-                f"nondeterministic cell {cell.cell_id}: "
+                f"nondeterministic cell {head['cell_id']}: "
                 f"{counts} != {rep_counts}"
             )
         if wall < best_wall:
-            best_wall = wall
+            best_wall, extras = wall, rep_extras
     assert counts is not None
     rounds, messages, words = counts
     return {
-        "cell_id": cell.cell_id,
-        "protocol": cell.protocol,
-        "graph_kind": cell.graph_kind,
-        "scale": cell.scale,
-        "seed": cell.seed,
-        "n": graph.n,
-        "m": graph.m,
+        **head,
         "rounds": rounds,
         "messages": messages,
         "words": words,
@@ -97,7 +95,41 @@ def run_cell(cell: WorkloadCell, reps: int = 2) -> CellResult:
             round(messages / best_wall, 1) if best_wall > 0 else 0.0
         ),
         "peak_rss_kb": _peak_rss_kb(),
+        **extras,
     }
+
+
+def _timed_run(
+    protocol: str, graph: Any, seed: Any, **kwargs: Any
+) -> Tuple[float, Counts, CellResult]:
+    """One clean ``run_traced`` rep: wall time and simulator counts."""
+    start = perf_counter()
+    _, stats = run_traced(protocol, graph, seed=seed, obs=None, **kwargs)
+    wall = perf_counter() - start
+    return wall, (stats.rounds, stats.messages, stats.total_words), {}
+
+
+def run_cell(cell: WorkloadCell, reps: int = 2) -> CellResult:
+    """Benchmark ``cell``: best-of-``reps`` wall time plus counts.
+
+    The graph is built once (outside the timed region — generator cost
+    is not simulator cost) and every rep runs the identical
+    deterministic computation, so counts are asserted equal across
+    reps.
+    """
+    graph = cell.build_graph()
+    head = {
+        "cell_id": cell.cell_id,
+        "protocol": cell.protocol,
+        "graph_kind": cell.graph_kind,
+        "scale": cell.scale,
+        "seed": cell.seed,
+        "n": graph.n,
+        "m": graph.m,
+    }
+    return _best_of_reps(
+        head, reps, lambda: _timed_run(cell.protocol, graph, cell.seed)
+    )
 
 
 def run_sharded_cell(cell: ShardedCell, reps: int = 2) -> CellResult:
@@ -114,31 +146,8 @@ def run_sharded_cell(cell: ShardedCell, reps: int = 2) -> CellResult:
     process bench pool's workers are daemonic, so the CLI forces
     ``jobs=1`` for sharded matrices.
     """
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
     graph = cell.build_graph()
-    best_wall = float("inf")
-    counts: Optional[Tuple[int, int, int]] = None
-    for _ in range(reps):
-        start = perf_counter()
-        _, stats = run_traced(
-            cell.protocol, graph, seed=cell.seed, obs=None,
-            shards=cell.shards,
-        )
-        wall = perf_counter() - start
-        rep_counts = (stats.rounds, stats.messages, stats.total_words)
-        if counts is None:
-            counts = rep_counts
-        elif counts != rep_counts:
-            raise AssertionError(
-                f"nondeterministic cell {cell.cell_id}: "
-                f"{counts} != {rep_counts}"
-            )
-        if wall < best_wall:
-            best_wall = wall
-    assert counts is not None
-    rounds, messages, words = counts
-    return {
+    head = {
         "cell_id": cell.cell_id,
         "protocol": cell.protocol,
         "graph_kind": cell.graph_kind,
@@ -147,16 +156,14 @@ def run_sharded_cell(cell: ShardedCell, reps: int = 2) -> CellResult:
         "shards": cell.shards,
         "n": graph.n,
         "m": graph.m,
-        "rounds": rounds,
-        "messages": messages,
-        "words": words,
-        "wall_s": round(best_wall, 6),
-        "rounds_per_s": round(rounds / best_wall, 1) if best_wall > 0 else 0.0,
-        "messages_per_s": (
-            round(messages / best_wall, 1) if best_wall > 0 else 0.0
-        ),
-        "peak_rss_kb": _peak_rss_kb(),
     }
+    return _best_of_reps(
+        head,
+        reps,
+        lambda: _timed_run(
+            cell.protocol, graph, cell.seed, shards=cell.shards
+        ),
+    )
 
 
 def run_service_cell(cell: ServiceCell, reps: int = 2) -> CellResult:
@@ -177,34 +184,27 @@ def run_service_cell(cell: ServiceCell, reps: int = 2) -> CellResult:
     in the report but are not count-gated.
     """
     from repro.serving.artifact import build_bundle
-    from repro.serving.loadgen import LoadgenSummary, run_service_benchmark
+    from repro.serving.loadgen import run_service_benchmark
 
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
     bundle = build_bundle(cell.graph_kind, cell.scale, cell.seed, k=cell.k)
-    best: Optional[LoadgenSummary] = None
-    counts: Optional[Tuple[int, int, int]] = None
-    for _ in range(reps):
+
+    def rep() -> Tuple[float, Counts, CellResult]:
         summary = run_service_benchmark(
             bundle,
             requests=cell.requests,
             mix=cell.mix,
             seed=cell.seed,
         )
-        rep_counts = (summary.requests, summary.answered, summary.cache_hits)
-        if counts is None:
-            counts = rep_counts
-        elif counts != rep_counts:
-            raise AssertionError(
-                f"nondeterministic cell {cell.cell_id}: "
-                f"{counts} != {rep_counts}"
-            )
-        if best is None or summary.wall_s < best.wall_s:
-            best = summary
-    assert counts is not None and best is not None
-    rounds, messages, words = counts
-    best_wall = best.wall_s
-    return {
+        counts = (summary.requests, summary.answered, summary.cache_hits)
+        extras = {
+            "qps": summary.qps,
+            "p50_ms": summary.p50_ms,
+            "p99_ms": summary.p99_ms,
+            "hit_rate": summary.hit_rate,
+        }
+        return summary.wall_s, counts, extras
+
+    head = {
         "cell_id": cell.cell_id,
         "protocol": "service",
         "graph_kind": cell.graph_kind,
@@ -213,20 +213,8 @@ def run_service_cell(cell: ServiceCell, reps: int = 2) -> CellResult:
         "mix": cell.mix,
         "n": bundle.graph.n,
         "m": bundle.graph.m,
-        "rounds": rounds,
-        "messages": messages,
-        "words": words,
-        "wall_s": round(best_wall, 6),
-        "rounds_per_s": round(rounds / best_wall, 1) if best_wall > 0 else 0.0,
-        "messages_per_s": (
-            round(messages / best_wall, 1) if best_wall > 0 else 0.0
-        ),
-        "peak_rss_kb": _peak_rss_kb(),
-        "qps": best.qps,
-        "p50_ms": best.p50_ms,
-        "p99_ms": best.p99_ms,
-        "hit_rate": best.hit_rate,
     }
+    return _best_of_reps(head, reps, rep)
 
 
 def run_churn_cell(cell: ChurnCell, reps: int = 2) -> CellResult:
@@ -246,8 +234,6 @@ def run_churn_cell(cell: ChurnCell, reps: int = 2) -> CellResult:
     from repro.churn.events import churn_stream
     from repro.churn.policy import RepairPolicy
 
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
     graph = cell.build_graph()
     batches, batch_size = cell.stream_params
     stream = churn_stream(
@@ -258,9 +244,8 @@ def run_churn_cell(cell: ChurnCell, reps: int = 2) -> CellResult:
         crash_fraction=0.15,
         amnesia_fraction=0.5,
     )
-    best_wall = float("inf")
-    counts: Optional[Tuple[int, int, int]] = None
-    for _ in range(reps):
+
+    def rep() -> Tuple[float, Counts, CellResult]:
         start = perf_counter()
         result = run_churn(
             graph,
@@ -271,23 +256,14 @@ def run_churn_cell(cell: ChurnCell, reps: int = 2) -> CellResult:
             grade_num_sources=4,
         )
         wall = perf_counter() - start
-        rep_counts = (
+        counts = (
             sum(b.work.get("repair_rounds", 0) for b in result.batches),
             sum(b.work.get("edges_examined", 0) for b in result.batches),
             sum(b.work.get("offers", 0) for b in result.batches),
         )
-        if counts is None:
-            counts = rep_counts
-        elif counts != rep_counts:
-            raise AssertionError(
-                f"nondeterministic cell {cell.cell_id}: "
-                f"{counts} != {rep_counts}"
-            )
-        if wall < best_wall:
-            best_wall = wall
-    assert counts is not None
-    rounds, messages, words = counts
-    return {
+        return wall, counts, {}
+
+    head = {
         "cell_id": cell.cell_id,
         "protocol": "churn",
         "graph_kind": cell.graph_kind,
@@ -295,13 +271,5 @@ def run_churn_cell(cell: ChurnCell, reps: int = 2) -> CellResult:
         "seed": cell.seed,
         "n": graph.n,
         "m": graph.m,
-        "rounds": rounds,
-        "messages": messages,
-        "words": words,
-        "wall_s": round(best_wall, 6),
-        "rounds_per_s": round(rounds / best_wall, 1) if best_wall > 0 else 0.0,
-        "messages_per_s": (
-            round(messages / best_wall, 1) if best_wall > 0 else 0.0
-        ),
-        "peak_rss_kb": _peak_rss_kb(),
     }
+    return _best_of_reps(head, reps, rep)

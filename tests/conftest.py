@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Any
+
 import pytest
 
 from repro.graphs import (
@@ -14,6 +16,15 @@ from repro.graphs import (
     hypercube,
     path,
 )
+from repro.obs import PROTOCOL_SPECS
+
+
+def comparable_result(protocol: str, result: Any) -> Any:
+    """A ``run_traced`` result as a comparable value: the sorted edges
+    of a spanner, the survey's ``known`` edge map as it is."""
+    if PROTOCOL_SPECS[protocol].spanner:
+        return sorted(result.edges)
+    return result
 
 
 @pytest.fixture

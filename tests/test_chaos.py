@@ -1,4 +1,4 @@
-"""Chaos harness: the five protocols under injected faults.
+"""Chaos harness: the distributed protocols under injected faults.
 
 The acceptance bar for the reliable-delivery layer: under a 10%
 message-drop plan every protocol, wrapped unmodified, must produce the
@@ -22,10 +22,7 @@ from repro.distributed import (
     FaultPlan,
     ProtocolError,
     ReliableConfig,
-    distributed_additive2,
     distributed_baswana_sen,
-    distributed_fibonacci_spanner,
-    distributed_skeleton,
     neighborhood_survey,
 )
 from repro.distributed.faults import AMNESIA as AMNESIA_KIND
@@ -33,6 +30,7 @@ from repro.distributed.faults import CRASH as CRASH_KIND
 from repro.distributed.faults import RECOVER as RECOVER_KIND
 from repro.graphs import Graph
 from repro.graphs.generators import erdos_renyi_gnp, grid_2d, watts_strogatz
+from repro.obs import PROTOCOL_SPECS, PROTOCOLS, run_traced
 from repro.spanner import (
     INVALID,
     classify_outcome,
@@ -40,6 +38,7 @@ from repro.spanner import (
     verify_connectivity,
     verify_subgraph,
 )
+from tests.conftest import comparable_result
 
 DROP10 = dict(drop_rate=0.10)
 MIXED = dict(drop_rate=0.05, duplicate_rate=0.05, delay_rate=0.05,
@@ -57,54 +56,28 @@ def run_baswana(g, seed, **kw):
     return set(sp.edges), sp.metadata["network_stats"]
 
 
-def run_skeleton(g, seed, **kw):
-    sp = distributed_skeleton(g, D=4, seed=seed, **kw)
-    return set(sp.edges), sp.metadata["network_stats"]
-
-
-def run_fibonacci(g, seed, **kw):
-    sp = distributed_fibonacci_spanner(g, order=2, seed=seed, **kw)
-    return set(sp.edges), sp.metadata["network_stats"]
-
-
-def run_additive(g, seed, **kw):
-    sp = distributed_additive2(g, seed=seed, **kw)
-    return set(sp.edges), sp.metadata["network_stats"]
-
-
-def run_survey(g, seed, **kw):
-    known, stats = neighborhood_survey(g, 2, **kw)
-    # Flatten the per-vertex knowledge into one comparable edge set; the
-    # per-vertex dict is also compared directly in the exactness test.
-    return {e for edges in known.values() for e in edges}, stats
-
-
-PROTOCOLS = {
-    "baswana": run_baswana,
-    "skeleton": run_skeleton,
-    "fibonacci": run_fibonacci,
-    "additive": run_additive,
-    "survey": run_survey,
-}
-
-SPANNER_PROTOCOLS = [p for p in PROTOCOLS if p != "survey"]
+SPANNER_PROTOCOLS = [p for p in PROTOCOLS if PROTOCOL_SPECS[p].spanner]
 
 
 @pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_reliable_masks_ten_percent_drop(protocol, family, seed):
-    """The acceptance sweep: 5 protocols x 3 families x 3 seeds."""
+    """The acceptance sweep: every registry protocol at its defaults x
+    3 families x 3 seeds."""
     g = FAMILIES[family](seed)
     plan = FaultPlan(seed=100 + seed, **DROP10)
-    edges, stats = PROTOCOLS[protocol](
-        g, seed, reliable=True, fault_plan=plan
+    result, stats = run_traced(
+        protocol, g, seed=seed, reliable=True, fault_plan=plan
     )
-    baseline, _ = PROTOCOLS[protocol](g, seed)
-    assert edges == baseline  # bitwise-identical to the fault-free run
-    if protocol != "survey":
-        assert verify_subgraph(g, edges)
-        assert verify_connectivity(g, Graph(g.vertices(), edges))
+    baseline, _ = run_traced(protocol, g, seed=seed)
+    # bitwise-identical to the fault-free run
+    assert comparable_result(protocol, result) == comparable_result(
+        protocol, baseline
+    )
+    if PROTOCOL_SPECS[protocol].spanner:
+        assert verify_subgraph(g, result.edges)
+        assert verify_connectivity(g, Graph(g.vertices(), result.edges))
     # The faults really happened and the layer really masked them.
     assert stats.dropped > 0
     assert stats.retransmissions > 0
@@ -116,9 +89,13 @@ def test_smoke_exact_under_mixed_faults(protocol):
     """Drops + duplicates + delays + reordering together, one family."""
     g = FAMILIES["gnp"](0)
     plan = FaultPlan(seed=7, **MIXED)
-    edges, stats = PROTOCOLS[protocol](g, 0, reliable=True, fault_plan=plan)
-    baseline, base_stats = PROTOCOLS[protocol](g, 0)
-    assert edges == baseline
+    result, stats = run_traced(
+        protocol, g, seed=0, reliable=True, fault_plan=plan
+    )
+    baseline, base_stats = run_traced(protocol, g, seed=0)
+    assert comparable_result(protocol, result) == comparable_result(
+        protocol, baseline
+    )
     assert stats.faults_injected > 0
     # Masking faults costs rounds and traffic, never correctness.
     assert stats.rounds >= base_stats.rounds
@@ -143,16 +120,21 @@ def test_crash_schedule_degrades_gracefully(protocol):
         drop_rate=0.05,
         crashes=[CrashSpec(3, crash_round=4), CrashSpec(11, crash_round=9)],
     )
-    edges, stats = PROTOCOLS[protocol](g, 0, reliable=True, fault_plan=plan)
-    baseline, _ = PROTOCOLS[protocol](g, 0)
-    report = classify_outcome(g, edges, baseline_size=len(baseline))
+    result, stats = run_traced(
+        protocol, g, seed=0, reliable=True, fault_plan=plan
+    )
+    edges = set(result.edges)
+    baseline, _ = run_traced(protocol, g, seed=0)
+    report = classify_outcome(g, edges, baseline_size=len(baseline.edges))
     if report.status == INVALID:
         assert not report.reasons or report.connectivity_ok is False
         repaired, added = repair_connectivity(
             g, edges, crashed=plan.crashed_nodes()
         )
         assert added  # the repair actually did something
-        report = classify_outcome(g, repaired, baseline_size=len(baseline))
+        report = classify_outcome(
+            g, repaired, baseline_size=len(baseline.edges)
+        )
     assert report.ok
     assert stats.fault_events  # crash transitions are on the record
 

@@ -5,7 +5,7 @@ fault plan and no observer (``simulator._run_clean``) and to the fully
 instrumented loop otherwise (``_run_general``).  The optimization
 contract is that the two are *indistinguishable*: identical protocol
 outputs and identical :class:`NetworkStats` on every workload.  These
-tests pin that contract across all five protocols — attaching a tracer
+tests pin that contract across every registry protocol — attaching a tracer
 (which forces the general loop) must change nothing but the trace, and
 fault-plan runs must replay byte-identically.
 """
@@ -19,17 +19,11 @@ import pytest
 from repro.distributed import FaultPlan
 from repro.graphs import erdos_renyi_gnp
 from repro.obs import Obs, PROTOCOLS, TraceRecorder, run_traced
+from tests.conftest import comparable_result
 
 
 def _host() -> Any:
     return erdos_renyi_gnp(60, 0.1, seed=7)
-
-
-def _normalize(protocol: str, result: Any) -> Any:
-    """Map a protocol result to a comparable value."""
-    if protocol == "survey":
-        return result  # the `known` edge map: plain comparable dict
-    return sorted(result.edges)
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
@@ -44,7 +38,7 @@ class TestFastPathEquivalence:
             protocol, _host(), seed=11, obs=obs
         )
         assert fast_stats == slow_stats
-        assert _normalize(protocol, fast_result) == _normalize(
+        assert comparable_result(protocol, fast_result) == comparable_result(
             protocol, slow_result
         )
 
@@ -62,7 +56,7 @@ class TestFastPathEquivalence:
             protocol, _host(), seed=11, obs=obs, fault_plan=plan
         )
         assert bare_stats == seen_stats
-        assert _normalize(protocol, bare_result) == _normalize(
+        assert comparable_result(protocol, bare_result) == comparable_result(
             protocol, seen_result
         )
 

@@ -9,14 +9,16 @@ complete host shrinks to a reproducer of at most 12 vertices.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import math
 
 import pytest
 
-import repro.fuzz.runner as fuzz_runner
-from repro.analysis.theory import skeleton_size_bound
+from repro.core.theory import skeleton_size_bound
+from repro.distributed import additive_protocol, baswana_sen_protocol
+from repro.distributed import skeleton_protocol, survey_protocol
 from repro.fuzz import (
     FUZZ_PROTOCOLS,
     FuzzCase,
@@ -84,8 +86,19 @@ class TestCaseStream:
         assert {c.protocol for c in cases} == {"skeleton", "survey"}
 
     def test_unknown_protocol_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="choose from") as err:
             case_stream(0, 2, protocols=["nope"])
+        assert all(p in str(err.value) for p in FUZZ_PROTOCOLS)
+
+    def test_stream_bytes_pinned(self):
+        # sha256 of the canonical dump of the first 42 cases of seed 0:
+        # pins every sampler draw across commits, not just within one.
+        digest = hashlib.sha256(
+            dumps_cases(case_stream(0, 42)).encode()
+        ).hexdigest()
+        assert digest == (
+            "13d3e665032c529ca99224a10a4ff6a5c80c351d49c03ddcbbbb581f6bb26de4"
+        )
 
     def test_fault_fraction_zero_and_one(self):
         assert all(
@@ -126,7 +139,7 @@ class TestHonestProtocolsPass:
 class TestOraclesCatchBrokenProtocols:
     def test_size_oracle_catches_all_edges_spanner(self, monkeypatch):
         monkeypatch.setattr(
-            fuzz_runner,
+            skeleton_protocol,
             "distributed_skeleton",
             lambda graph, **kw: Spanner(
                 graph, graph.edges(), {"algorithm": "buggy"}
@@ -147,7 +160,7 @@ class TestOraclesCatchBrokenProtocols:
         for size, ok in ((bound, True), (bound + 1, False)):
             edges = complete_edges(12)[:size]
             monkeypatch.setattr(
-                fuzz_runner,
+                skeleton_protocol,
                 "distributed_skeleton",
                 lambda graph, **kw: Spanner(
                     graph, graph.edges(), {"algorithm": "boundary"}
@@ -174,11 +187,11 @@ class TestOraclesCatchBrokenProtocols:
             "skeleton", complete_edges(16), params={"D": 4, "eps": 0.5}
         )
         monkeypatch.setattr(
-            fuzz_runner, "distributed_skeleton", all_edges([0])
+            skeleton_protocol, "distributed_skeleton", all_edges([0])
         )
         assert check_case(case, oracles=("size",)) == []
         monkeypatch.setattr(
-            fuzz_runner, "distributed_skeleton", all_edges([5, 1, 0])
+            skeleton_protocol, "distributed_skeleton", all_edges([5, 1, 0])
         )
         assert [
             f.oracle for f in check_case(case, oracles=("size",))
@@ -191,7 +204,7 @@ class TestOraclesCatchBrokenProtocols:
         # deleted edge's endpoints sit at distance 11 > 2k - 1 = 3.
         path_edges = tuple((i, i + 1) for i in range(11))
         monkeypatch.setattr(
-            fuzz_runner,
+            baswana_sen_protocol,
             "distributed_baswana_sen",
             lambda graph, k, **kw: Spanner(
                 graph, path_edges, {"algorithm": "buggy"}
@@ -205,7 +218,7 @@ class TestOraclesCatchBrokenProtocols:
 
     def test_connectivity_oracle_catches_empty_spanner(self, monkeypatch):
         monkeypatch.setattr(
-            fuzz_runner,
+            additive_protocol,
             "distributed_additive2",
             lambda graph, **kw: Spanner(graph, (), {"algorithm": "buggy"}),
         )
@@ -228,7 +241,7 @@ class TestOraclesCatchBrokenProtocols:
             )
 
         monkeypatch.setattr(
-            fuzz_runner, "distributed_additive2", flaky
+            additive_protocol, "distributed_additive2", flaky
         )
         case = explicit_case("additive", base)
         failures = check_case(case, oracles=("determinism",))
@@ -244,7 +257,7 @@ class TestOraclesCatchBrokenProtocols:
             return Spanner(graph, edges, {"algorithm": "lossy"})
 
         monkeypatch.setattr(
-            fuzz_runner, "distributed_additive2", lossy
+            additive_protocol, "distributed_additive2", lossy
         )
         case = explicit_case(
             "additive",
@@ -265,7 +278,7 @@ class TestOraclesCatchBrokenProtocols:
             )
 
         monkeypatch.setattr(
-            fuzz_runner, "distributed_skeleton", wrong_clusters
+            skeleton_protocol, "distributed_skeleton", wrong_clusters
         )
         case = explicit_case(
             "skeleton", cycle_edges(10), params={"D": 4, "eps": 0.5}
@@ -280,7 +293,7 @@ class TestOraclesCatchBrokenProtocols:
         from repro.distributed.simulator import NetworkStats
 
         monkeypatch.setattr(
-            fuzz_runner,
+            survey_protocol,
             "neighborhood_survey",
             lambda graph, radius, **kw: (
                 {v: set() for v in graph.vertices()},
@@ -298,7 +311,7 @@ class TestOraclesCatchBrokenProtocols:
         def boom(graph, **kw):
             raise RuntimeError("kaboom")
 
-        monkeypatch.setattr(fuzz_runner, "distributed_skeleton", boom)
+        monkeypatch.setattr(skeleton_protocol, "distributed_skeleton", boom)
         case = explicit_case(
             "skeleton", cycle_edges(8), params={"D": 4, "eps": 0.5}
         )
@@ -313,7 +326,7 @@ class TestOraclesCatchBrokenProtocols:
         def boom(graph, **kw):
             raise KeyError(5)
 
-        monkeypatch.setattr(fuzz_runner, "distributed_skeleton", boom)
+        monkeypatch.setattr(skeleton_protocol, "distributed_skeleton", boom)
         case = explicit_case(
             "skeleton", cycle_edges(8), params={"D": 4, "eps": 0.5}
         )
@@ -358,7 +371,7 @@ class TestShrinker:
     @pytest.fixture()
     def all_edges_skeleton(self, monkeypatch):
         monkeypatch.setattr(
-            fuzz_runner,
+            skeleton_protocol,
             "distributed_skeleton",
             lambda graph, **kw: Spanner(
                 graph, graph.edges(), {"algorithm": "buggy"}
@@ -463,7 +476,7 @@ class TestCLI:
         self, tmp_path, monkeypatch, capsys
     ):
         monkeypatch.setattr(
-            fuzz_runner,
+            skeleton_protocol,
             "distributed_skeleton",
             lambda graph, **kw: Spanner(
                 graph, graph.edges(), {"algorithm": "buggy"}

@@ -7,7 +7,7 @@ The two load-bearing properties:
 * **replay exactness** — :func:`repro.obs.reconstruct_stats` rebuilds
   the run's aggregated :class:`NetworkStats` from the trace alone.
 
-Both are asserted for all five protocols, plain and under the reliable
+Both are asserted for every registry protocol, plain and under the reliable
 adapter with a lossy fault plan.
 """
 
@@ -43,6 +43,7 @@ from repro.obs import (
     summarize,
 )
 from repro.__main__ import main as cli_main
+from tests.conftest import comparable_result
 
 
 HOST = erdos_renyi_gnp(40, 0.12, seed=3)
@@ -65,7 +66,7 @@ def traced_run(protocol, reliable=False, fault_plan=None, **obs_kwargs):
 
 
 # ----------------------------------------------------------------------
-# Determinism + replay exactness, all five protocols
+# Determinism + replay exactness, every registry protocol
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 @pytest.mark.parametrize("faulty", [False, True], ids=["plain", "faulty"])
@@ -92,11 +93,15 @@ def test_trace_deterministic_and_replay_exact(protocol, faulty):
 def test_tracing_does_not_change_results(protocol):
     plain, _ = run_traced(protocol, HOST, seed=7)
     _, traced, _ = traced_run(protocol)
+    assert comparable_result(protocol, plain) == comparable_result(
+        protocol, traced
+    )
 
-    def edges(result):
-        return result.edges if hasattr(result, "edges") else result
 
-    assert edges(plain) == edges(traced)
+def test_unknown_protocol_names_the_choices():
+    with pytest.raises(ValueError, match="choose from") as err:
+        run_traced("nope", HOST, seed=7)
+    assert all(protocol in str(err.value) for protocol in PROTOCOLS)
 
 
 def test_trace_roundtrips_through_jsonl(tmp_path):
@@ -149,6 +154,35 @@ def _golden_digest(protocol, crashes=()):
     run_traced(protocol, host, seed=1, obs=obs,
                reliable=True, fault_plan=plan)
     return hashlib.sha256(recorder.dumps().encode()).hexdigest()
+
+
+#: sha256 of the clean JSONL trace of every protocol at its registry
+#: defaults on G(60, 0.1) (graph seed 7, protocol seed 11): pins the
+#: one default-parameter table against the per-consumer copies it
+#: replaced (survey radius 3 included).
+GOLDEN_DEFAULT_TRACE_SHA256 = {
+    "skeleton":
+        "36d73d019b1bc847c339f0a7a09fe6c39dc14dbcaa2d3025d97057bed35e2fe3",
+    "baswana_sen":
+        "05e372aba9f07eb0c3f92a3b4ffc4236ad0fbf5e96166222c97a7d41527a1958",
+    "additive":
+        "8004dd402c3fcd83417171624d500eb208b4b872a54b1e7837d0e00a1ced61e4",
+    "fibonacci":
+        "82b0ce186e9cc746781698a70eed549658ecdd3bd31cfd05f7d3ed60e5107162",
+    "survey":
+        "0cbeb0ac9cc13b98c6d9c88eaae184950b524d02ee1b5d627bfc6ece9c3069ba",
+    "deterministic":
+        "9972e9feab4bc6c4202532200afa0aec8c2b26680a9f3ecaeebbfe2f018b2418",
+}
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_golden_default_trace_digest(protocol):
+    recorder = TraceRecorder()
+    run_traced(protocol, erdos_renyi_gnp(60, 0.1, seed=7), seed=11,
+               obs=Obs(recorder=recorder))
+    digest = hashlib.sha256(recorder.dumps().encode()).hexdigest()
+    assert digest == GOLDEN_DEFAULT_TRACE_SHA256[protocol]
 
 
 def test_golden_trace_digest():
@@ -255,6 +289,14 @@ def test_phase_budget_report():
     assert abs(sum(r.round_share for r in rows) - 1.0) < 1e-9
     table = render_phase_budget(rows)
     assert "budget/call" in table
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_every_traced_phase_has_a_budget(protocol):
+    recorder, _, _ = traced_run(protocol)
+    rows = phase_budget_report(recorder.events)
+    assert rows
+    assert [r.phase for r in rows if r.budget == "-"] == []
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from repro.analysis.theory import skeleton_distortion_bound
+from repro.core.theory import skeleton_distortion_bound
 from repro.core import build_skeleton
 from repro.core.fibonacci import FibonacciParams, sample_levels
 from repro.distributed import (

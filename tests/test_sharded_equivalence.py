@@ -8,7 +8,7 @@ byte-identical protocol outputs, an identical
 :class:`~repro.distributed.simulator.NetworkStats`, and — with a tracer
 attached — byte-identical ``repro trace`` JSONL versus the
 single-process engine.  These tests pin that contract for shard counts
-{1, 2, 4} across all five protocols, plus the engine's restriction
+{1, 2, 4} across every registry protocol, plus the engine's restriction
 surface (no fault plans / reliable layer / strict mode), the worker
 pool's stale-generation guard, and multi-phase ``run`` resumability
 across all three engines.
@@ -36,19 +36,13 @@ from repro.distributed.simulator import Api, Network, NodeProgram
 from repro.graphs import erdos_renyi_gnp
 from repro.graphs.generators import path
 from repro.obs import Obs, PROTOCOLS, TraceRecorder, run_traced
+from tests.conftest import comparable_result
 
 SHARD_COUNTS = (1, 2, 4)
 
 
 def _host() -> Any:
     return erdos_renyi_gnp(60, 0.1, seed=7)
-
-
-def _normalize(protocol: str, result: Any) -> Any:
-    """Map a protocol result to a comparable value."""
-    if protocol == "survey":
-        return result  # the `known` edge map: plain comparable dict
-    return sorted(result.edges)
 
 
 def _traced(protocol: str, shards: Any = None) -> Tuple[Any, Any, str]:
@@ -58,7 +52,7 @@ def _traced(protocol: str, shards: Any = None) -> Tuple[Any, Any, str]:
     result, stats = run_traced(
         protocol, _host(), seed=11, obs=Obs(recorder=recorder), **kwargs
     )
-    return _normalize(protocol, result), stats, recorder.dumps()
+    return comparable_result(protocol, result), stats, recorder.dumps()
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
@@ -73,7 +67,7 @@ class TestShardedEquivalence:
             protocol, _host(), seed=11, obs=None, shards=shards
         )
         assert shard_stats == base_stats
-        assert _normalize(protocol, shard_result) == _normalize(
+        assert comparable_result(protocol, shard_result) == comparable_result(
             protocol, base_result
         )
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.theory import skeleton_distortion_bound, skeleton_size_bound
+from repro.core.theory import skeleton_distortion_bound, skeleton_size_bound
 from repro.core import build_skeleton
 from repro.core.schedule import Round
 from repro.graphs import (

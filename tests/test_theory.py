@@ -1,4 +1,4 @@
-"""Tests for the closed-form bounds of repro.analysis.theory.
+"""Tests for the closed-form bounds of repro.core.theory.
 
 Many of these check the paper's lemmas *as mathematical statements*:
 Lemma 1's properties of the (s_i) sequence, the Fibonacci identity used
@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.theory import (
+from repro.core.theory import (
     GAMMA,
     PHI,
     critical_edge_discard_probability,
